@@ -21,7 +21,12 @@ from functools import lru_cache
 from itertools import combinations, permutations, product
 
 from .algebra import Polynomial, TensorElement, exact_divide
-from .errors import IndexOutOfRange, ProductTooLarge
+from .errors import (
+    ArityTooSmall,
+    DegreeMismatch,
+    IndexOutOfRange,
+    ProductTooLarge,
+)
 from .field import FieldSpec
 from .milnor import milnor_composite
 
@@ -46,7 +51,7 @@ def index_subsets(n: int, max_size=None):
 @lru_cache(maxsize=None)
 def dickson_e(field: FieldSpec, n: int) -> Polynomial:
     if n < 1:
-        raise ValueError("need n >= 1")
+        raise ArityTooSmall("need n >= 1")
     full = milnor_composite(tuple(range(n)), top_form(field, n))
     poly = full.polynomial_part()
     assert not poly.is_zero()
@@ -77,7 +82,7 @@ def f_poly(field: FieldSpec, n: int, method: str = "recursive") -> Polynomial:
     past q^n = 243 factors.
     """
     if n < 1:
-        raise ValueError("need n >= 1")
+        raise ArityTooSmall("need n >= 1")
     q = field.q
     N = n + 1
     X = _with_x(field, n)
@@ -111,7 +116,7 @@ def delta_poly(field: FieldSpec, n: int) -> Polynomial:
     """(-1)^n Q_0...Q_n (dx_1...dx_n dX) in n + 1 variables; this equals
     dickson_e(n) * f_poly(n)."""
     if n < 1:
-        raise ValueError("need n >= 1")
+        raise ArityTooSmall("need n >= 1")
     N = n + 1
     w = TensorElement.dx(field, N, range(1, N + 1))
     out = milnor_composite(tuple(range(N)), w).polynomial_part()
@@ -178,7 +183,7 @@ def mui_det(field: FieldSpec, i_list, k: int = None) -> Polynomial:
     if k is None:
         k = len(i_list)
     if k != len(i_list):
-        raise ValueError("k must equal the number of row exponents")
+        raise DegreeMismatch("k must equal the number of row exponents")
     if any(i < 0 for i in i_list):
         raise IndexOutOfRange(f"negative exponent index in {i_list}")
     q = field.q
@@ -215,7 +220,7 @@ def mui_bracket(field: FieldSpec, r: int, i_list, n: int) -> TensorElement:
     if not 0 <= r <= n:
         raise IndexOutOfRange(f"exterior degree {r} not in 0..{n}")
     if len(i_list) != n - r:
-        raise ValueError(f"need {n - r} row exponents, got {len(i_list)}")
+        raise DegreeMismatch(f"need {n - r} row exponents, got {len(i_list)}")
     total = TensorElement.zero(field, n)
     for J1 in combinations(range(1, n + 1), r):
         J2 = tuple(j for j in range(1, n + 1) if j not in J1)

@@ -36,6 +36,10 @@ class FieldTooLarge(FieldError):
     pass
 
 
+class InvalidFieldSpec(FieldError):
+    """Extension degree outside 1..3, or a modulus of the wrong shape."""
+
+
 class DivisionByZero(FqinvError, ZeroDivisionError):
     pass
 
@@ -63,7 +67,15 @@ class DegreeMismatch(FqinvError, ValueError):
 
 
 class ArityTooSmall(FqinvError, ValueError):
-    pass
+    """A variable count is below what the construction needs."""
+
+
+class NegativeDegree(FqinvError, ValueError):
+    """A degree or a degree bound is negative."""
+
+
+class BadIndexTuple(FqinvError, ValueError):
+    """An index tuple is not strictly increasing."""
 
 
 class ProductTooLarge(FqinvError, ValueError):
@@ -100,3 +112,7 @@ class FeasibilityCapExceeded(FqinvError, RuntimeError):
 
 class NotApplicable(FqinvError, ValueError):
     """The requested check is undefined for this case."""
+
+
+class NotInvariant(FqinvError, RuntimeError):
+    """A computed fixed vector failed the invariance check."""

@@ -22,6 +22,7 @@ from .errors import (
     EvenCharacteristic,
     FieldMismatch,
     FieldTooLarge,
+    InvalidFieldSpec,
     MissingModulus,
     NotPrime,
     ReducibleModulus,
@@ -51,27 +52,27 @@ def make_field(p: int, e: int = 1, modulus=None) -> "FieldSpec":
     polynomial over F_p, required exactly when e > 1.
     """
     if not isinstance(p, int) or not isinstance(e, int):
-        raise ValueError("p and e must be ints")
+        raise InvalidFieldSpec("p and e must be ints")
     if not _is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if p == 2:
         raise EvenCharacteristic("characteristic 2 is unsupported")
     if e < 1 or e > _MAX_E:
-        raise ValueError(f"e must be between 1 and {_MAX_E}")
+        raise InvalidFieldSpec(f"e must be between 1 and {_MAX_E}")
     if p ** e > _MAX_Q:
         raise FieldTooLarge(f"q = {p}^{e} exceeds the cap {_MAX_Q}")
     if e == 1:
         if modulus is not None:
-            raise ValueError("modulus is only meaningful for e > 1")
+            raise InvalidFieldSpec("modulus is only meaningful for e > 1")
         key = (p, 1, None)
     else:
         if modulus is None:
             raise MissingModulus(f"degree-{e} extension needs a modulus")
         mod = tuple(int(c) % p for c in modulus)
         if len(mod) != e + 1:
-            raise ValueError(f"modulus must have degree {e}")
+            raise InvalidFieldSpec(f"modulus must have degree {e}")
         if mod[-1] != 1:
-            raise ValueError("modulus must be monic")
+            raise InvalidFieldSpec("modulus must be monic")
         for a in range(p):
             if sum(c * pow(a, i, p) for i, c in enumerate(mod)) % p == 0:
                 raise ReducibleModulus(f"modulus has root {a} in F_{p}")

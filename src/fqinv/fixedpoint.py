@@ -27,7 +27,13 @@ import numpy as np
 from . import algebra
 from .algebra import Polynomial, TensorElement, tensor_act
 from .dickson import dickson_c, dickson_e, index_subsets, o_poly
-from .errors import FeasibilityCapExceeded, NotApplicable, UnknownCase
+from .errors import (
+    FeasibilityCapExceeded,
+    NegativeDegree,
+    NotApplicable,
+    NotInvariant,
+    UnknownCase,
+)
 from .field import FieldSpec, make_field
 from .groups import GroupPresentation, gens_case, gens_standard, is_invariant
 from .milnor import milnor_composite
@@ -61,7 +67,7 @@ def monomial_basis(field: FieldSpec, n: int, d: int):
     tuple) pairs with 2*sum(exp) + len(ext) = d, sorted by exterior length,
     then exterior indices, then exponents (descending lexicographic)."""
     if d < 0:
-        raise ValueError("need d >= 0")
+        raise NegativeDegree("need d >= 0")
     out = []
     for k, r in _block_shapes(n, d):
         for ext in combinations(range(1, n + 1), r):
@@ -390,7 +396,7 @@ def fixed_dim(group, d: int, exterior_degree=None) -> int:
     word length only."""
     field, n, gens = _resolve_group(group)
     if d < 0:
-        raise ValueError("need d >= 0")
+        raise NegativeDegree("need d >= 0")
     _check_cap(n, d)
     total = 0
     for k, r in _block_shapes(n, d):
@@ -409,7 +415,7 @@ def fixed_basis(group, d: int):
     before it is returned."""
     field, n, gens = _resolve_group(group)
     if d < 0:
-        raise ValueError("need d >= 0")
+        raise NegativeDegree("need d >= 0")
     _check_cap(n, d)
     blocks = []
     offset = 0
@@ -437,11 +443,13 @@ def fixed_basis(group, d: int):
         for pos in np.nonzero(vec)[0]:
             exp, ext = full_basis[pos]
             parts.setdefault(ext, {})[exp] = int(vec[pos])
+        # the entries are raw field values: the coercing Polynomial
+        # constructor would fold them into the prime subfield
         el = TensorElement(field, n,
-                           {ext: Polynomial(field, n, terms)
+                           {ext: Polynomial._make(field, n, terms)
                             for ext, terms in parts.items()})
         if not is_invariant(el, gens):
-            raise RuntimeError("kernel vector failed the invariance check")
+            raise NotInvariant("kernel vector failed the invariance check")
         out.append(el)
     return out
 
@@ -473,7 +481,7 @@ class FreeModuleDescription:
 def hilbert_coeff(desc: FreeModuleDescription, d: int) -> int:
     """Coefficient of t^d in (sum of t^basis) / prod(1 - t^generator)."""
     if d < 0:
-        raise ValueError("need d >= 0")
+        raise NegativeDegree("need d >= 0")
     ring = [0] * (d + 1)
     ring[0] = 1
     for a in desc.algebra_gen_degrees:
@@ -647,7 +655,7 @@ def _case_elements_cached(label):
             basis.append((f"e{n}^{q - 2}*{name}", extra * el))
         return ring, basis
     if c.kind == "g0":
-        ring = [("O(x1)", _poly_el(o_poly(field, n, 1)))]
+        ring = [("O(x1)", _poly_el(o_poly(field, n, 1, "dickson_sum")))]
         ring += [(f"x{i}", _poly_el(Polynomial.variable(field, n, i)))
                  for i in range(2, n + 1)]
         basis = _q_basis(field, n, tuple(range(1, n + 1)),
@@ -658,7 +666,7 @@ def _case_elements_cached(label):
             basis.append((name, TensorElement.dx(field, n, indices)))
         return ring, basis
     if c.kind == "parabolic":
-        ring = [("O(x1)", _poly_el(o_poly(field, n, 1))),
+        ring = [("O(x1)", _poly_el(o_poly(field, n, 1, "dickson_sum"))),
                 (f"e{n - 1}(x2..x{n})",
                  _poly_el(_sub_dickson(field, n - 1, "e", 0, n)))]
         ring += [(f"c{n - 1},{i}(x2..x{n})",
@@ -681,13 +689,13 @@ def _case_elements_cached(label):
         ring = [("e3(x2..x4)", _poly_el(_sub_dickson(field, 3, "e", 0, 4))),
                 ("c3,2(x2..x4)", _poly_el(_sub_dickson(field, 3, "c", 2, 4))),
                 ("c3,1(x2..x4)", _poly_el(_sub_dickson(field, 3, "c", 1, 4))),
-                ("O(x1)", _poly_el(o_poly(field, 4, 1)))]
+                ("O(x1)", _poly_el(o_poly(field, 4, 1, "dickson_sum")))]
         basis = [("1", TensorElement.one(field, 4))]
         basis += _q_basis(field, 4, (2, 3, 4), index_subsets(3, 2))
         basis += _q_basis(field, 4, (1, 2, 3, 4), index_subsets(3))
         return ring, basis
     if c.kind == "e7_4":
-        orb = o_poly(field, 4, 1)
+        orb = o_poly(field, 4, 1, "dickson_sum")
         ring = [("e3(x2..x4)", _poly_el(_sub_dickson(field, 3, "e", 0, 4))),
                 ("c3,2(x2..x4)", _poly_el(_sub_dickson(field, 3, "c", 2, 4))),
                 ("c3,1(x2..x4)", _poly_el(_sub_dickson(field, 3, "c", 1, 4))),
@@ -698,7 +706,7 @@ def _case_elements_cached(label):
             basis.append((f"O(x1)*{name}", orb * el))
         return ring, basis
     if c.kind == "e8_5a":
-        orb = o_poly(field, 5, 1)
+        orb = o_poly(field, 5, 1, "dickson_sum")
         x5 = Polynomial.variable(field, 5, 5)
         ring = [("x5^2", _poly_el(x5 * x5)),
                 ("e3(x2..x4)", _poly_el(_sub_dickson(field, 3, "e", 0, 5))),
@@ -890,7 +898,7 @@ def verify_module(case, d_max=None) -> VerificationReport:
     if d_max is None:
         d_max = cap
     if d_max < 0:
-        raise ValueError("need d_max >= 0")
+        raise NegativeDegree("need d_max >= 0")
     if d_max > cap:
         raise FeasibilityCapExceeded(
             f"case {c.label}: d_max {d_max} exceeds the schedule cap {cap}")

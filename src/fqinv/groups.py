@@ -15,6 +15,7 @@ import numpy as np
 
 from . import algebra
 from .errors import (
+    ArityTooSmall,
     CapExceeded,
     CaseFieldMismatch,
     FieldMismatch,
@@ -185,7 +186,7 @@ def gens_standard(kind: str, n: int, field: FieldSpec) -> GroupPresentation:
     if kind not in ("sl", "gl"):
         raise UnknownCase(f"kind must be 'sl' or 'gl', got {kind!r}")
     if n < 1:
-        raise ValueError("need n >= 1")
+        raise ArityTooSmall("need n >= 1")
     gens = []
     for i in range(1, n + 1):
         for j in range(1, n + 1):
@@ -244,7 +245,7 @@ def gens_case(label: str, field: FieldSpec = None, n: int = None) -> GroupPresen
         if field is None or n is None:
             raise ValueError(f"case {label!r} needs both field and n")
         if n < 2:
-            raise ValueError("need n >= 2")
+            raise ArityTooSmall("need n >= 2")
         q = field.q
         gens = []
         for j in range(2, n + 1):

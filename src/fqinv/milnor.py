@@ -15,7 +15,13 @@ index acts first on the argument).
 from __future__ import annotations
 
 from .algebra import Polynomial, TensorElement, exact_divide
-from .errors import ArityTooSmall, DegreeMismatch, IndexOutOfRange, NotDivisible
+from .errors import (
+    ArityTooSmall,
+    BadIndexTuple,
+    DegreeMismatch,
+    IndexOutOfRange,
+    NotDivisible,
+)
 
 
 def _check_index_tuple(I):
@@ -23,7 +29,7 @@ def _check_index_tuple(I):
     if any(i < 0 for i in I):
         raise IndexOutOfRange(f"negative operator index in {I}")
     if list(I) != sorted(set(I)):
-        raise ValueError(f"index tuple must be strictly increasing: {I}")
+        raise BadIndexTuple(f"index tuple must be strictly increasing: {I}")
     return I
 
 

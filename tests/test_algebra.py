@@ -158,6 +158,20 @@ def test_action_on_variables_uses_inverse_rows():
     assert got == expect
 
 
+def test_substitution_takes_raw_entries_unreduced():
+    # raw 3 is t in F9 = F3[t]/(t^2 + 1); reducing it mod 3 would give 0
+    t = F9.from_raw(3)
+    f = x(F9, 2, 1) * x(F9, 2, 1)
+    expect = x(F9, 2, 2).scale(t * t) * x(F9, 2, 2)
+    assert f.substitute_linear([[0, 3], [0, 1]]) == expect
+    assert f.substitute_linear([[0, t], [0, 1]]) == expect
+    for bad in (-1, 9):
+        with pytest.raises(ValueError):
+            f.substitute_linear([[0, bad], [0, 1]])
+    with pytest.raises(ArityMismatch):
+        f.substitute_linear([[0, 1]])
+
+
 def test_action_composition_and_identity(rng):
     ident = diagonal(F3, [1, 1, 1])
     for _ in range(25):

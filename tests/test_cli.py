@@ -1,9 +1,15 @@
 """End-to-end checks of the command line entry point."""
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fqinv
 from fqinv import cli
 from fqinv.algebra import TensorElement, from_json, to_json
 from fqinv.dickson import dickson_c, dickson_e, mui_q
@@ -123,6 +129,45 @@ def test_usage_errors_exit_two(capsys):
         code, _, err = run(capsys, *argv)
         assert code == 2, argv
         assert err, argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["dickson", "--n", "0", "--p", "3"],
+    ["dickson", "--n", "2", "--p", "3", "--e", "4"],
+    ["dickson", "--n", "1", "--p", "3", "--e", "2", "--modulus", "1,1"],
+    ["fixed-dim", "--case", "sl(2,3)", "--degree", "-1"],
+    ["verify", "--case", "sl(2,3)", "--max-degree", "-1"],
+    ["mui", "--n", "3", "--p", "3", "--I", "1,0"],
+    ["mui", "--n", "3", "--p", "3", "--I", "0", "--det-form", "--r", "1"],
+], ids=" ".join)
+def test_bad_arguments_exit_two_with_one_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# SHA-256 of `fqinv opoly --n 4 --p 5 --i 1` as the tuple-keyed
+# multiplication printed it, before packed monomials
+OPOLY_4_5_SHA256 = \
+    "75fd6945ebe74cec0f9f27e8a1d701a3a5a1ab86f58711b003d1c32729095198"
+
+
+def test_opoly_output_ignores_the_hash_seed():
+    # the 125-factor product runs the multiplication kernel end to end
+    src = str(Path(fqinv.__file__).resolve().parent.parent)
+    outputs = []
+    for hash_seed in ("0", "1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "fqinv.cli", "opoly",
+             "--n", "4", "--p", "5", "--i", "1"],
+            capture_output=True, env=env, check=True, timeout=300)
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert hashlib.sha256(outputs[0]).hexdigest() == OPOLY_4_5_SHA256
 
 
 def test_help_exits_zero(capsys):

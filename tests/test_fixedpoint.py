@@ -7,6 +7,7 @@ import pytest
 from fqinv import (
     Case,
     FreeModuleDescription,
+    GroupMatrix,
     Polynomial,
     TensorElement,
     case_elements,
@@ -23,13 +24,20 @@ from fqinv import (
     monomial_basis,
     parse_case,
     tensor_act,
+    theorem_basis,
     verify_module,
     wilkerson_check,
     wilkerson_phi,
 )
-from fqinv.errors import FeasibilityCapExceeded, NotApplicable, UnknownCase
+from fqinv import fixedpoint
+from fqinv.errors import (
+    FeasibilityCapExceeded,
+    NegativeDegree,
+    NotApplicable,
+    UnknownCase,
+)
 
-from conftest import F3, F5
+from conftest import F3, F5, F9
 
 
 # -- degreewise monomial basis ----------------------------------------------
@@ -170,6 +178,27 @@ def test_fixed_basis_contents():
         assert is_invariant(u, sl2)
 
 
+def test_extension_field_transvections_move_the_variables():
+    # gens_standard(sl, 2, F9) includes transvections by t; the raw F9
+    # entries of their inverse rows must reach the substitution unreduced
+    sl2 = gens_standard("sl", 2, F9)
+    desc = module_description(Case("sl(2,9)", "sl", F9, 2))
+    assert [fixed_dim(sl2, d) for d in range(41)] == \
+        [hilbert_coeff(desc, d) for d in range(41)]
+    for u in theorem_basis(F9, "sl", 2):
+        assert is_invariant(u, sl2)
+
+
+def test_fixed_basis_keeps_extension_field_coefficients():
+    # x1 -> t x2, x2 -> x1: fixed vectors carry coefficients outside F3
+    g = GroupMatrix(F9, [[0, F9.from_raw(3)], [1, 0]])
+    vecs = fixed_basis([g], 6)
+    assert len(vecs) == fixed_dim([g], 6) > 0
+    assert all(is_invariant(u, [g]) for u in vecs)
+    assert any(c >= F9.p for u in vecs for poly in u.parts.values()
+               for c in poly.terms.values())
+
+
 def test_basis_cap_guards_large_degrees():
     sl5 = gens_standard("sl", 5, F3)
     with pytest.raises(FeasibilityCapExceeded):
@@ -275,6 +304,25 @@ def test_phi_witness():
     assert d["ok"] is True and d["n"] == 2
 
 
+def test_orbit_product_routes_stay_independent(monkeypatch):
+    # the case table builds O(x1) by the Dickson sum; the witness keeps the
+    # brute product and compares it with the Dickson sum
+    methods = []
+    real = fixedpoint.o_poly
+
+    def spy(field, n, i, method="product"):
+        methods.append(method)
+        return real(field, n, i, method)
+
+    monkeypatch.setattr(fixedpoint, "o_poly", spy)
+    for label in ("g0(3,3)", "parabolic(3,3)"):
+        fixedpoint._case_elements_cached.__wrapped__(label)
+    assert set(methods) == {"dickson_sum"}
+    methods.clear()
+    assert wilkerson_phi(F3, 3).vanishes
+    assert methods == ["product", "dickson_sum"]
+
+
 def test_degree_product_not_defined_for_widest_case():
     with pytest.raises(NotApplicable):
         wilkerson_check("e8_5a")
@@ -298,7 +346,7 @@ def test_verify_module_small_case():
 def test_verify_module_rejects_degrees_past_cap():
     with pytest.raises(FeasibilityCapExceeded):
         verify_module("sl(2,3)", 100)
-    with pytest.raises(ValueError):
+    with pytest.raises(NegativeDegree):
         verify_module("sl(2,3)", -1)
 
 
