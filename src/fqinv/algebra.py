@@ -18,13 +18,17 @@ import json
 from bisect import bisect_left
 from functools import lru_cache
 from itertools import chain
+from math import comb, factorial
+from operator import mul
 
 import numpy as np
 
 from .errors import (
     ArityMismatch,
+    BadIndexTuple,
     FieldMismatch,
     IndexOutOfRange,
+    NegativeDegree,
     NotDivisible,
     SerializationError,
 )
@@ -56,8 +60,11 @@ class Polynomial:
                 raw = _coerce_raw(field, c)
                 if raw:
                     exp = tuple(int(e) for e in exp)
-                    if len(exp) != n or any(e < 0 for e in exp):
-                        raise ValueError(f"bad exponent tuple {exp}")
+                    if len(exp) != n:
+                        raise ArityMismatch(
+                            f"exponent tuple {exp} needs length {n}")
+                    if any(e < 0 for e in exp):
+                        raise NegativeDegree(f"negative exponent in {exp}")
                     clean[exp] = raw
         self.terms = clean
 
@@ -211,44 +218,8 @@ class Polynomial:
         invertible (projections are fine).  Entries are FieldElements or
         raw field values, as GroupMatrix.inverse_rows() gives them."""
         field, n = self.field, self.n
-        raw_rows = _raw_rows(field, n, rows)
-        sparse = [[(j, c) for j, c in enumerate(row) if c] for row in raw_rows]
-        fadd, fmul = field.add, field.mul
-        out = {}
-        pow_cache = {}
-        for exp, coeff in self.terms.items():
-            # product over variables of (linear form)^e_i, built as a dict
-            acc = None
-            for i, e in enumerate(exp):
-                if e == 0:
-                    continue
-                key = (i, e)
-                part = pow_cache.get(key)
-                if part is None:
-                    part = _linear_form_power(field, n, sparse[i], e)
-                    pow_cache[key] = part
-                if acc is None:
-                    acc = part
-                else:
-                    nxt = {}
-                    for e1, c1 in acc.items():
-                        for e2, c2 in part.items():
-                            ee = tuple(a + b for a, b in zip(e1, e2))
-                            s = fadd(nxt.get(ee, 0), fmul(c1, c2))
-                            if s:
-                                nxt[ee] = s
-                            elif ee in nxt:
-                                del nxt[ee]
-                    acc = nxt
-            if acc is None:
-                acc = {(0,) * n: field.one}
-            for ee, c in acc.items():
-                s = fadd(out.get(ee, 0), fmul(c, coeff))
-                if s:
-                    out[ee] = s
-                elif ee in out:
-                    del out[ee]
-        return Polynomial._make(field, n, out)
+        return Polynomial._make(field, n, _substitute_terms(
+            field, _raw_rows(field, n, rows), self.terms))
 
     def project(self, i: int):
         """Set x_i = 0, keeping the variable count."""
@@ -342,15 +313,25 @@ _LANE_BITS = 16              # narrowest coordinate lane
 
 
 @lru_cache(maxsize=None)
+def _product_table(field):
+    """Raw products a*b at index a*q + b."""
+    q = field.q
+    return [field.mul(a, b) for a in range(q) for b in range(q)]
+
+
+@lru_cache(maxsize=None)
 def _lane_table(field, lane):
     """Products of raws a*b at index a*q + b, their coordinates spread
-    into lanes of `lane` bits: a list for the Python loop, an array for
-    numpy."""
-    q = field.q
+    into lanes of `lane` bits."""
     spread = [sum(c << (i * lane) for i, c in enumerate(field.coeffs(v)))
-              for v in range(q)]
-    table = [spread[field.mul(a, b)] for a in range(q) for b in range(q)]
-    return table, np.array(table, dtype=np.int64)
+              for v in range(field.q)]
+    return [spread[v] for v in _product_table(field)]
+
+
+@lru_cache(maxsize=None)
+def _lane_array(field, lane):
+    """_lane_table as an int64 array, for lanes that fit in one."""
+    return np.array(_lane_table(field, lane), dtype=np.int64)
 
 
 def _raw_of_lanes(v, field, lane):
@@ -361,6 +342,30 @@ def _raw_of_lanes(v, field, lane):
     for i in range(field.e):
         raw = raw + ((v >> (i * lane)) & mask) % p * p ** i
     return raw
+
+
+def _reduce_lanes(field, lane, out):
+    """Replace every lane-packed coefficient sum in the dict `out` by its
+    field raw."""
+    if field.e == 1:
+        p = field.p
+        for k, v in out.items():
+            out[k] = v % p
+    else:
+        for k, v in out.items():
+            out[k] = _raw_of_lanes(v, field, lane)
+
+
+def _unpack(field, lane, out, shifts, masks):
+    """Term dict of lane-packed coefficient sums keyed by packed
+    exponents; every lane is reduced here, once, and zeros dropped.
+    Empties `out`."""
+    _reduce_lanes(field, lane, out)
+    cols = [[(k >> s) & m for k, v in out.items() if v]
+            for s, m in zip(shifts, masks)]
+    raws = [v for v in out.values() if v]
+    out.clear()
+    return dict(zip(zip(*cols), raws))
 
 
 def _shift_terms(field, exp, c, terms):
@@ -414,7 +419,7 @@ def _mul_numpy(field, lane, layout, a, exps_a, b, exps_b):
     ka, kb = exps_a @ weights, exps_b @ weights
     ca = np.fromiter(a.values(), np.int64, len(a)) * field.q
     cb = np.fromiter(b.values(), np.int64, len(b))
-    table = _lane_table(field, lane)[1]
+    table = _lane_array(field, lane)
     step_b = min(len(kb), _CHUNK_PAIRS)
     step_a = _CHUNK_PAIRS // step_b
     run_k = run_v = np.empty(0, dtype=np.int64)
@@ -434,18 +439,22 @@ def _mul_numpy(field, lane, layout, a, exps_a, b, exps_b):
     if parts_k:
         run_k, run_v = _combine(np.concatenate([run_k] + parts_k),
                                 np.concatenate([run_v] + parts_v))
+    # only the result stays alive while it is unpacked
+    del ka, kb, ca, cb, keys, rows, k, v, parts_k, parts_v
     raws = _raw_of_lanes(run_v, field, lane)
     live = raws != 0
     keys = run_k[live]
+    raws = raws[live].tolist()
+    del run_k, run_v, live
     # one column at a time: a (terms, n) array's tolist() costs more memory
     cols = [((keys >> s) & m).tolist() for s, m in zip(shifts, masks)]
-    return dict(zip(zip(*cols), raws[live].tolist()))
+    return dict(zip(zip(*cols), raws))
 
 
 def _mul_python(field, lane, layout, a, b):
     """Product of two term dicts as one loop over packed int keys."""
     shifts, masks, _ = layout
-    table = _lane_table(field, lane)[0]
+    table = _lane_table(field, lane)
     q = field.q
     packed_b = [(sum(x << s for x, s in zip(e, shifts)), c)
                 for e, c in b.items()]
@@ -457,14 +466,7 @@ def _mul_python(field, lane, layout, a, b):
         for kb, cb in packed_b:
             k = ka + kb
             out[k] = get(k, 0) + table[row + cb]
-    if field.e == 1:
-        p = field.p
-        live = {k: raw for k, v in out.items() if (raw := v % p)}
-    else:
-        live = {k: raw for k, v in out.items()
-                if (raw := _raw_of_lanes(v, field, lane))}
-    cols = [[(k >> s) & m for k in live] for s, m in zip(shifts, masks)]
-    return dict(zip(zip(*cols), live.values()))
+    return _unpack(field, lane, out, shifts, masks)
 
 
 def _mul_terms(field, a, b):
@@ -489,33 +491,127 @@ def _mul_terms(field, a, b):
     return _mul_python(field, lane, layout, a, b)
 
 
-def _linear_form_power(field, n, entries, k):
-    """(sum of c_j x_j)^k as a term dict; entries is [(j0, coeff)...]."""
-    if len(entries) == 0:
-        return {} if k > 0 else {(0,) * n: field.one}
-    if len(entries) == 1:
-        j, c = entries[0]
-        exp = tuple(k if t == j else 0 for t in range(n))
-        return {exp: field.pow_(c, k)}
-    fadd, fmul = field.add, field.mul
-    base = {}
-    for j, c in entries:
-        base[tuple(1 if t == j else 0 for t in range(n))] = c
-    acc = base
-    for _ in range(k - 1):
-        nxt = {}
-        for e1, c1 in acc.items():
-            for j, c in entries:
-                ee = list(e1)
-                ee[j] += 1
-                ee = tuple(ee)
-                s = fadd(nxt.get(ee, 0), fmul(c1, c))
-                if s:
-                    nxt[ee] = s
-                elif ee in nxt:
-                    del nxt[ee]
-        acc = nxt
-    return acc
+# -- packed-key linear substitution --------------------------------------
+#
+# x_i -> sum_j a_ij x_j keeps the total degree of every monomial, so with
+# each variable (largest total degree).bit_length() bits wide the packed
+# keys of the image never carry.  x_i^e under a row with one nonzero entry
+# c x_j is the key of x_j^e times the scalar c^e.  A longer row is raised
+# to the e-th power digit by digit in base p,
+#
+#     (sum_j c_j x_j)^e = prod_d (sum_j c_j^(p^d) x_j^(p^d))^(e_d),
+#
+# with every digit e_d < p, so each factor is a multinomial expansion with
+# no coefficient divisible by p.  An exponent of the product has the k_dj
+# of the factors as its base-p digits, so the product has no equal keys:
+# for a transvection row it is exactly the prod_d (e_d + 1) terms that
+# Lucas's theorem leaves nonzero.
+
+
+def _compositions(total, parts):
+    """Every tuple of `parts` non-negative ints summing to `total`."""
+    if parts == 1:
+        yield (total,)
+        return
+    for k in range(total, -1, -1):
+        for rest in _compositions(total - k, parts - 1):
+            yield (k,) + rest
+
+
+def _row_power(field, entries, e):
+    """(sum of c * x over entries (x's packed key, c))^e, e > 0, as a list
+    of (packed key, raw); no two keys are equal."""
+    if not entries:
+        return []
+    p, fmul, fpow = field.p, field.mul, field.pow_
+    out = [(0, field.one)]
+    frob = 1                                  # p^d
+    while e:
+        e, digit = divmod(e, p)
+        if digit:
+            twisted = [(key * frob, fpow(c, frob)) for key, c in entries]
+            part = []
+            for ks in _compositions(digit, len(twisted)):
+                key, c = 0, factorial(digit)
+                for k in ks:
+                    c //= factorial(k)
+                c %= p
+                for (x, cx), k in zip(twisted, ks):
+                    if k:
+                        key += x * k
+                        c = fmul(c, fpow(cx, k))
+                part.append((key, c))
+            out = [(k1 + k2, fmul(c1, c2)) for k1, c1 in out for k2, c2 in part]
+        frob *= p
+    return out
+
+
+def _substitute_terms(field, rows, terms):
+    """Term dict of `terms` under x_i -> sum_j rows[i][j] x_j, rows given
+    as raw values."""
+    if not terms:
+        return {}
+    n, q = len(rows), field.q
+    top = max(map(sum, terms))
+    width = top.bit_length()
+    shifts = [j * width for j in range(n)]
+    sparse = [[(1 << shifts[j], c) for j, c in enumerate(row) if c]
+              for row in rows]
+    # one-entry rows c x_j move x_i^e to x_j^e: a key shift by e units of
+    # x_j, times c^e where c != 1; every other row, zero rows included,
+    # contributes its power
+    shift = [r[0][0] if len(r) == 1 else 0 for r in sparse]
+    scaled = [(i, r[0][1]) for i, r in enumerate(sparse)
+              if len(r) == 1 and r[0][1] != field.one]
+    long = [(i, sparse[i], {}) for i, r in enumerate(sparse) if len(r) != 1]
+    # a key collects one sum per input term; a convolution of two row
+    # powers collects at most as many products as there are monomials of
+    # the top degree
+    bound = len(terms)
+    if len(long) > 1:
+        bound = max(bound, comb(top + n - 1, n - 1))
+    lane = max(_LANE_BITS, (bound * (field.p - 1)).bit_length())
+    table = _lane_table(field, lane)
+    spread = table[q:2 * q]                   # lanes of raw v at v*q + 1
+    prod = _product_table(field)
+    fpow = field.pow_
+    out = {}
+    get = out.get
+    for exp, c in terms.items():
+        key = sum(map(mul, exp, shift))
+        for i, ci in scaled:
+            c = prod[c * q + fpow(ci, exp[i])]
+        image = None
+        for i, entries, cache in long:
+            e = exp[i]
+            if e:
+                pw = cache.get(e)
+                if pw is None:
+                    pw = cache[e] = _row_power(field, entries, e)
+                image = pw if image is None else _convolve(field, lane, image, pw)
+        if image is None:
+            out[key] = get(key, 0) + spread[c]
+            continue
+        row = c * q
+        for k, ck in image:
+            k += key
+            out[k] = get(k, 0) + table[row + ck]
+    return _unpack(field, lane, out, shifts, [(1 << width) - 1] * n)
+
+
+def _convolve(field, lane, a, b):
+    """Product of two (packed key, raw) lists as a list with distinct
+    keys and no zero raws."""
+    table, q = _lane_table(field, lane), field.q
+    out = {}
+    get = out.get
+    for ka, ca in a:
+        row = ca * q
+        for kb, cb in b:
+            k = ka + kb
+            out[k] = get(k, 0) + table[row + cb]
+    _reduce_lanes(field, lane, out)
+    return [(k, raw) for k, raw in out.items() if raw]
 
 
 def exact_divide(f: Polynomial, g: Polynomial):
@@ -580,7 +676,7 @@ class TensorElement:
             for ext, poly in parts.items():
                 ext = tuple(int(j) for j in ext)
                 if any(not 1 <= j <= n for j in ext) or list(ext) != sorted(set(ext)):
-                    raise ValueError(f"bad exterior index tuple {ext}")
+                    raise BadIndexTuple(f"bad exterior index tuple {ext}")
                 if not isinstance(poly, Polynomial):
                     raise TypeError("parts must map to Polynomial")
                 _check_same_tp(self, poly)
@@ -615,7 +711,7 @@ class TensorElement:
         """dx_{j_1} ^ ... ^ dx_{j_r} for strictly increasing indices."""
         ext = tuple(int(j) for j in indices)
         if list(ext) != sorted(set(ext)) or any(not 1 <= j <= n for j in ext):
-            raise ValueError(f"indices must be strictly increasing in 1..{n}")
+            raise BadIndexTuple(f"indices must be strictly increasing in 1..{n}")
         return cls._make(field, n, {ext: Polynomial.one(field, n)})
 
     # -- additive structure -------------------------------------------

@@ -51,7 +51,8 @@ class FieldMismatch(FqinvError, ValueError):
 # algebra layer
 
 class ArityMismatch(FqinvError, ValueError):
-    """Operands live in algebras with different variable counts."""
+    """Operands live in algebras with different variable counts, or a
+    tuple or matrix row has the wrong length."""
 
 
 class IndexOutOfRange(FqinvError, IndexError):
@@ -71,11 +72,12 @@ class ArityTooSmall(FqinvError, ValueError):
 
 
 class NegativeDegree(FqinvError, ValueError):
-    """A degree or a degree bound is negative."""
+    """A degree, an exponent or a degree bound is negative."""
 
 
 class BadIndexTuple(FqinvError, ValueError):
-    """An index tuple is not strictly increasing."""
+    """An index tuple is not strictly increasing, or an exterior word has
+    an index outside 1..n."""
 
 
 class ProductTooLarge(FqinvError, ValueError):

@@ -79,6 +79,7 @@ def monomial_basis(field: FieldSpec, n: int, d: int):
 # -- exact linear algebra over F_q ------------------------------------------
 
 _TABLE_CACHE = {}
+_MATMUL_ROWS = 1024
 
 
 def _tables(field):
@@ -100,9 +101,9 @@ def _tables(field):
     return tabs
 
 
-def _nullspace(mat, field):
-    """Kernel basis of mat over F_q; columns of the result, int64."""
-    a = np.array(mat, dtype=np.int64)
+def _nullspace(a, field):
+    """Kernel basis of the int64 array a over F_q; columns of the result,
+    int64.  Eliminates in a itself, which it overwrites."""
     m, k = a.shape
     if m == 0 or k == 0:
         return np.eye(k, dtype=np.int64)
@@ -150,10 +151,16 @@ def _nullspace(mat, field):
 
 
 def _matmul_mod(x, y, field):
-    """Exact x @ y over F_q; float64 BLAS for prime fields."""
+    """Exact x @ y over F_q; float64 BLAS for prime fields, a block of
+    _MATMUL_ROWS rows of x at a time so that no float copy of all of x is
+    held."""
     if field.e == 1:
-        prod = np.rint(x.astype(np.float64) @ y.astype(np.float64))
-        return prod.astype(np.int64) % field.p
+        yf = y.astype(np.float64)
+        out = np.empty((x.shape[0], y.shape[1]), dtype=np.int64)
+        for i in range(0, x.shape[0], _MATMUL_ROWS):
+            prod = np.rint(x[i:i + _MATMUL_ROWS].astype(np.float64) @ yf)
+            out[i:i + _MATMUL_ROWS] = prod.astype(np.int64) % field.p
+        return out
     add, _, mul, _ = _tables(field)
     out = np.zeros((x.shape[0], y.shape[1]), dtype=np.int64)
     for i in range(x.shape[1]):
@@ -270,7 +277,7 @@ def _cycle_kernel(field, perm, scale):
     scalar product is 1."""
     size = len(perm)
     seen = np.zeros(size, dtype=bool)
-    cols = []
+    cycles = []
     for start in range(size):
         if seen[start]:
             continue
@@ -283,17 +290,15 @@ def _cycle_kernel(field, perm, scale):
         prod = field.one
         for j in cycle:
             prod = field.mul(prod, int(scale[j]))
-        if prod != field.one:
-            continue
-        col = np.zeros(size, dtype=np.int64)
+        if prod == field.one:
+            cycles.append(cycle)
+    out = np.zeros((size, len(cycles)), dtype=np.int64)
+    for col, cycle in enumerate(cycles):
         c = field.one
         for j in cycle:
-            col[j] = c
+            out[j, col] = c
             c = field.mul(c, int(scale[j]))
-        cols.append(col)
-    if not cols:
-        return np.zeros((size, 0), dtype=np.int64)
-    return np.stack(cols, axis=1)
+    return out
 
 
 def _general_columns(field, n, g, basis, index, needed):
@@ -311,16 +316,43 @@ def _general_columns(field, n, g, basis, index, needed):
     return cols
 
 
+def _image_product(field, cols, kernel):
+    """g applied to the kernel columns, from the sparse action columns of
+    the positions where the kernel is nonzero; the dense action matrix is
+    never formed."""
+    moved = np.zeros(kernel.shape, dtype=np.int64)
+    prime = field.e == 1
+    if not prime:
+        add, _, mul, _ = _tables(field)
+    for pos, entries in cols.items():
+        rows = np.fromiter(entries, np.int64, len(entries))
+        vals = np.fromiter(entries.values(), np.int64, len(entries))
+        if prime:
+            # at most len(cols) products below p^2 per entry: no overflow
+            moved[rows] += vals[:, None] * kernel[pos]
+        else:
+            moved[rows] = add[moved[rows], mul[vals[:, None], kernel[pos]]]
+    if prime:
+        moved %= field.p
+    return moved
+
+
 def _apply_generator(field, basis, index, kernel, g, info):
-    """(action of g - 1) applied to the kernel columns."""
+    """The fixed vectors of g inside the span of the kernel columns, or
+    inside the whole block when kernel is None."""
     size = len(basis)
     if info[0] == "monomial":
         perm, scale = _monomial_permutation(field, basis, index, info[1], info[2])
         if kernel is None:
-            return None, _cycle_kernel(field, perm, scale)
-        moved = np.zeros_like(kernel)
+            return _cycle_kernel(field, perm, scale)
+        moved = np.empty_like(kernel)
         if field.e == 1:
-            moved[perm] = (scale[:, None] * kernel) % field.p
+            # row i moves to perm[i], scaled by scale[i]
+            moved[perm] = kernel
+            at = np.empty_like(scale)
+            at[perm] = scale
+            moved *= at[:, None]
+            moved %= field.p
         else:
             _, _, mul, _ = _tables(field)
             moved[perm] = mul[scale[:, None], kernel]
@@ -330,21 +362,24 @@ def _apply_generator(field, basis, index, kernel, g, info):
         else:
             needed = np.nonzero(kernel.any(axis=1))[0].tolist()
         cols = _general_columns(field, len(basis[0][0]), g, basis, index, needed)
-        mat = np.zeros((size, len(cols)), dtype=np.int64)
-        sub_rows = []
-        for j, pos in enumerate(cols):
-            sub_rows.append(pos)
-            for row, raw in cols[pos].items():
-                mat[row, j] = raw
         if kernel is None:
-            moved = mat
-            kernel = np.eye(size, dtype=np.int64)[:, sub_rows]
-            diff = _subtract(moved, kernel, field)
-            return None, _nullspace(diff, field)
-        moved = _matmul_mod(mat, kernel[sub_rows], field)
-    diff = _subtract(moved, kernel, field)
-    reduction = _nullspace(diff, field)
-    return kernel, reduction
+            # the action matrix minus the identity, eliminated in place
+            mat = np.zeros((size, size), dtype=np.int64)
+            for pos, entries in cols.items():
+                for row, raw in entries.items():
+                    mat[row, pos] = raw
+            diag = np.arange(size)
+            mat[diag, diag] = _subtract(mat[diag, diag], 1, field)
+            return _nullspace(mat, field)
+        moved = _image_product(field, cols, kernel)
+    if field.e == 1:
+        moved -= kernel
+        moved %= field.p
+    else:
+        moved = _subtract(moved, kernel, field)
+    reduction = _nullspace(moved, field)
+    del moved
+    return _matmul_mod(kernel, reduction, field)
 
 
 def _subtract(x, y, field):
@@ -364,11 +399,7 @@ def _block_kernel(field, n, gens, k, r):
     for g, info in _sort_generators(gens):
         if kernel is not None and kernel.shape[1] == 0:
             break
-        prev, reduction = _apply_generator(field, basis, index, kernel, g, info)
-        if prev is None:
-            kernel = reduction
-        else:
-            kernel = _matmul_mod(prev, reduction, field)
+        kernel = _apply_generator(field, basis, index, kernel, g, info)
     if kernel is None:
         kernel = np.eye(len(basis), dtype=np.int64)
     return basis, kernel

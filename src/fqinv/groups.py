@@ -15,6 +15,7 @@ import numpy as np
 
 from . import algebra
 from .errors import (
+    ArityMismatch,
     ArityTooSmall,
     CapExceeded,
     CaseFieldMismatch,
@@ -37,7 +38,7 @@ class GroupMatrix:
         )
         n = len(rows)
         if any(len(r) != n for r in rows):
-            raise ValueError("matrix must be square")
+            raise ArityMismatch("matrix must be square")
         self.n = n
         self.rows = rows
         self._inv_rows = None

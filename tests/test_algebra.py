@@ -19,7 +19,10 @@ from fqinv import (
 )
 from fqinv.errors import (
     ArityMismatch,
+    BadIndexTuple,
     FieldMismatch,
+    FqinvError,
+    NegativeDegree,
     NotDivisible,
     SerializationError,
 )
@@ -143,6 +146,25 @@ def test_tensor_grading():
     assert u.is_homogeneous()
     parts = dict(u.coh_components())
     assert set(parts) == {4}
+
+
+@pytest.mark.parametrize("exp, error", [
+    ((1,), ArityMismatch), ((1, 2, 0), ArityMismatch), ((1, -1), NegativeDegree),
+], ids=str)
+def test_bad_exponent_tuples_raise_typed_errors(exp, error):
+    with pytest.raises(error) as info:
+        Polynomial(F3, 2, {exp: 1})
+    assert isinstance(info.value, FqinvError)
+    assert isinstance(info.value, ValueError)
+
+
+@pytest.mark.parametrize("ext", [(2, 1), (1, 1), (0,), (4,), (1, 4)], ids=str)
+def test_bad_exterior_words_raise_bad_index_tuple(ext):
+    with pytest.raises(BadIndexTuple) as info:
+        TensorElement(F3, 3, {ext: Polynomial.one(F3, 3)})
+    assert isinstance(info.value, ValueError)
+    with pytest.raises(BadIndexTuple):
+        TensorElement.dx(F3, 3, ext)
 
 
 # -- group action ------------------------------------------------------------

@@ -153,8 +153,9 @@ OPOLY_4_5_SHA256 = \
     "75fd6945ebe74cec0f9f27e8a1d701a3a5a1ab86f58711b003d1c32729095198"
 
 
-def test_opoly_output_ignores_the_hash_seed():
-    # the 125-factor product runs the multiplication kernel end to end
+def stdout_under_hash_seeds(*argv):
+    """stdout of the command in fresh interpreters under PYTHONHASHSEED
+    0, 1 and 2; asserts the three are byte-identical."""
     src = str(Path(fqinv.__file__).resolve().parent.parent)
     outputs = []
     for hash_seed in ("0", "1", "2"):
@@ -162,12 +163,31 @@ def test_opoly_output_ignores_the_hash_seed():
                    PYTHONPATH=os.pathsep.join(
                        filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run(
-            [sys.executable, "-m", "fqinv.cli", "opoly",
-             "--n", "4", "--p", "5", "--i", "1"],
+            [sys.executable, "-m", "fqinv.cli", *argv],
             capture_output=True, env=env, check=True, timeout=300)
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1] == outputs[2]
-    assert hashlib.sha256(outputs[0]).hexdigest() == OPOLY_4_5_SHA256
+    return outputs[0]
+
+
+def test_opoly_output_ignores_the_hash_seed():
+    # the 125-factor product runs the multiplication kernel end to end
+    out = stdout_under_hash_seeds("opoly", "--n", "4", "--p", "5", "--i", "1")
+    assert hashlib.sha256(out).hexdigest() == OPOLY_4_5_SHA256
+
+
+# SHA-256 of each command's stdout as the tuple-keyed substitution and
+# multiplication printed it
+@pytest.mark.parametrize("argv, sha256", [
+    # fixed dimensions to degree 30 plus invariance of the sl basis, which
+    # runs the substitution kernel through tensor_act
+    (("verify", "--case", "sl(3,3)"),
+     "fdde7ba3d8c2130432aee6e5241423db7fa3d626a5ac5a6a9d36b6c500380c2c"),
+    (("mui", "--n", "4", "--p", "3", "--I", "0,2"),
+     "d9c0074b51bdbf4e185fd177511513f74997aca929e6c6e14d1407af354b833f"),
+], ids=["verify", "mui"])
+def test_output_ignores_the_hash_seed(argv, sha256):
+    assert hashlib.sha256(stdout_under_hash_seeds(*argv)).hexdigest() == sha256
 
 
 def test_help_exits_zero(capsys):

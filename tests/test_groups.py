@@ -17,7 +17,13 @@ from fqinv import (
     sl_order,
     transvection,
 )
-from fqinv.errors import CapExceeded, SingularMatrix, UnknownCase
+from fqinv.errors import (
+    ArityMismatch,
+    CapExceeded,
+    FqinvError,
+    SingularMatrix,
+    UnknownCase,
+)
 
 from conftest import F3, F5, F9, random_invertible
 
@@ -29,6 +35,15 @@ def test_elementary_matrices():
     assert d.rows == ((2, 0), (0, 1))
     with pytest.raises(ValueError):
         transvection(F3, 2, 1, 1)
+
+
+@pytest.mark.parametrize("rows", [[[1, 0], [0]], [[1, 0, 0], [0, 1, 0]],
+                                  [[1], [0]]], ids=str)
+def test_non_square_matrix_raises_arity_mismatch(rows):
+    with pytest.raises(ArityMismatch) as info:
+        GroupMatrix(F3, rows)
+    assert isinstance(info.value, FqinvError)
+    assert isinstance(info.value, ValueError)
 
 
 def test_matrix_product_and_inverse(rng):
