@@ -29,6 +29,7 @@ from .errors import (
     FieldMismatch,
     IndexOutOfRange,
     NegativeDegree,
+    NotARawValue,
     NotDivisible,
     SerializationError,
 )
@@ -157,7 +158,7 @@ class Polynomial:
 
     def __pow__(self, k: int):
         if k < 0:
-            raise ValueError("negative power of a polynomial")
+            raise NegativeDegree("negative power of a polynomial")
         out = Polynomial.one(self.field, self.n)
         base = self
         while k:
@@ -276,7 +277,7 @@ def _raw_value(field, c) -> int:
         return _coerce_raw(field, c)
     if isinstance(c, int) and 0 <= c < field.q:
         return c
-    raise ValueError(f"{c!r} is not a raw value of {field}")
+    raise NotARawValue(f"{c!r} is not a raw value of {field}")
 
 
 def _raw_rows(field, n, rows):
@@ -909,6 +910,35 @@ def wedge(u: TensorElement, v: TensorElement):
     return u * v
 
 
+def _exterior_image(field, rows, J):
+    """dx_J under dx_j -> sum_k rows[j-1][k-1] dx_k, rows given as raw
+    values, as a dict from ascending words to nonzero raws."""
+    fadd, fmul, fneg = field.add, field.mul, field.neg
+    ext_terms = {(): field.one}
+    for j in J:
+        row = rows[j - 1]
+        nxt = {}
+        for K, s in ext_terms.items():
+            for k0, c in enumerate(row):
+                if not c:
+                    continue
+                k = k0 + 1
+                if k in K:
+                    continue
+                pos = bisect_left(K, k)
+                cc = fmul(s, c)
+                if (len(K) - pos) & 1:
+                    cc = fneg(cc)
+                KK = K[:pos] + (k,) + K[pos:]
+                t = fadd(nxt.get(KK, 0), cc)
+                if t:
+                    nxt[KK] = t
+                elif KK in nxt:
+                    del nxt[KK]
+        ext_terms = nxt
+    return ext_terms
+
+
 def tensor_act(g, u: TensorElement) -> TensorElement:
     """Left action of a group matrix on an algebra element.
 
@@ -923,33 +953,10 @@ def tensor_act(g, u: TensorElement) -> TensorElement:
         raise ArityMismatch(f"{g.n} vs {u.n}")
     field, n = u.field, u.n
     rows = g.inverse_rows()
-    fadd, fmul, fneg = field.add, field.mul, field.neg
     out = {}
     for J, poly in u.parts.items():
         psub = poly.substitute_linear(rows)
-        ext_terms = {(): field.one}
-        for j in J:
-            row = rows[j - 1]
-            nxt = {}
-            for K, s in ext_terms.items():
-                for k0, c in enumerate(row):
-                    if not c:
-                        continue
-                    k = k0 + 1
-                    if k in K:
-                        continue
-                    pos = bisect_left(K, k)
-                    cc = fmul(s, c)
-                    if (len(K) - pos) & 1:
-                        cc = fneg(cc)
-                    KK = K[:pos] + (k,) + K[pos:]
-                    t = fadd(nxt.get(KK, 0), cc)
-                    if t:
-                        nxt[KK] = t
-                    elif KK in nxt:
-                        del nxt[KK]
-            ext_terms = nxt
-        for K, s in ext_terms.items():
+        for K, s in _exterior_image(field, rows, J).items():
             contrib = psub.scale_raw(s)
             if contrib.is_zero():
                 continue

@@ -26,6 +26,7 @@ from .errors import (
     DegreeMismatch,
     IndexOutOfRange,
     ProductTooLarge,
+    UnknownMethod,
 )
 from .field import FieldSpec
 from .milnor import milnor_composite
@@ -98,7 +99,7 @@ def f_poly(field: FieldSpec, n: int, method: str = "recursive") -> Polynomial:
             acc = acc * form
         return acc
     if method != "recursive":
-        raise ValueError(f"unknown method {method!r}")
+        raise UnknownMethod(f"unknown method {method!r}")
     f = Polynomial.one(field, N)
     for a in range(q):
         form = Polynomial.variable(field, N, X)
@@ -145,7 +146,7 @@ def o_poly(field: FieldSpec, n: int, i: int, method: str = "product") -> Polynom
             acc = acc * form
         return acc
     if method != "dickson_sum":
-        raise ValueError(f"unknown method {method!r}")
+        raise UnknownMethod(f"unknown method {method!r}")
     if n == 1:
         return Polynomial.variable(field, n, i)
     shift = {t: t + 1 for t in range(1, n)}

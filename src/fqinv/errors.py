@@ -40,6 +40,11 @@ class InvalidFieldSpec(FieldError):
     """Extension degree outside 1..3, or a modulus of the wrong shape."""
 
 
+class NotARawValue(FieldError):
+    """A value passed as a raw field value is not an int in 0..q-1 or an
+    element of the field."""
+
+
 class DivisionByZero(FqinvError, ZeroDivisionError):
     pass
 
@@ -82,6 +87,10 @@ class BadIndexTuple(FqinvError, ValueError):
 
 class ProductTooLarge(FqinvError, ValueError):
     """A brute-force product form was requested beyond its size guard."""
+
+
+class UnknownMethod(FqinvError, ValueError):
+    """A construction was asked for a method it does not have."""
 
 
 class SerializationError(FqinvError, ValueError):

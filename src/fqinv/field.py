@@ -349,13 +349,17 @@ class FieldElement:
         return self.raw == 0
 
     def __eq__(self, other):
+        # an int equals only the prime-subfield element with that raw, so
+        # equal values hash alike
         if isinstance(other, FieldElement):
             return self.field == other.field and self.raw == other.raw
         if isinstance(other, int):
-            return self.raw == other % self.field.p
+            return self.raw == other and self.raw < self.field.p
         return NotImplemented
 
     def __hash__(self):
+        if self.raw < self.field.p:
+            return hash(self.raw)
         return hash((self.field, self.raw))
 
     def __repr__(self):

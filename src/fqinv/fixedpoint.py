@@ -4,9 +4,14 @@ The solver computes the fixed subspace of a finite matrix group degree by
 degree: each cohomological degree splits into blocks (polynomial degree,
 exterior word length) preserved by every linear substitution, and on each
 block the fixed vectors form the kernel of the stacked operators
-(action of g) - 1.  Kernels are intersected one generator at a time,
-with combinatorial shortcuts for diagonal and monomial matrices and an
-exact dense elimination over F_q for the rest.
+(action of g) - 1.  The monomial generators (each variable to a scalar
+multiple of one variable) permute the block's monomials up to scalars, so
+their common fixed vectors are the orbit sums whose scalars agree, one
+column per such orbit (the permutation-module basis of Derksen & Kemper,
+Computational Invariant Theory, section 3).  The other generators cut
+that kernel down one at a time by an exact dense elimination over F_q,
+from action columns built per block: the image of x^a dx_J is the
+product of the images of x^a and of dx_J, each computed once.
 
 A registry of named cases ties a group presentation to the free-module
 shape of its invariant ring (polynomial generator degrees plus module
@@ -25,7 +30,7 @@ from itertools import combinations
 import numpy as np
 
 from . import algebra
-from .algebra import Polynomial, TensorElement, tensor_act
+from .algebra import Polynomial, TensorElement
 from .dickson import dickson_c, dickson_e, index_subsets, o_poly
 from .errors import (
     FeasibilityCapExceeded,
@@ -214,40 +219,22 @@ def _rref_rows(rows, field):
 
 # -- per-block solver --------------------------------------------------------
 
-def _classify(g):
-    """('monomial', targets, scalars) when each variable maps to a scalar
-    multiple of a single variable, else ('general', off-diagonal count)."""
-    rows = g.inverse_rows()
-    targets = []
-    scalars = []
-    nnz_off = 0
-    monomial = True
-    for i, r in enumerate(rows):
-        live = [j for j, v in enumerate(r) if v]
-        nnz_off += sum(1 for j in live if j != i)
-        if len(live) != 1:
-            monomial = False
-        elif monomial:
-            targets.append(live[0] + 1)
-            scalars.append(r[live[0]])
-    if monomial:
-        return ("monomial", tuple(targets), tuple(scalars))
-    return ("general", nnz_off)
-
-
-def _sort_generators(gens):
-    """Diagonal, then monomial, then general matrices by sparsity."""
-    keyed = []
+def _split_generators(gens):
+    """(targets, scalars) of each monomial generator, one that maps every
+    variable to a scalar multiple of a single variable, and the other
+    generators, sparsest first."""
+    monomial, general = [], []
     for pos, g in enumerate(gens):
-        info = _classify(g)
-        if info[0] == "monomial":
-            diag = all(t == i + 1 for i, t in enumerate(info[1]))
-            rank = (0 if diag else 1, 0)
+        rows = g.inverse_rows()
+        live = [[j for j, v in enumerate(r) if v] for r in rows]
+        if all(len(js) == 1 for js in live):
+            monomial.append((tuple(js[0] + 1 for js in live),
+                             tuple(r[js[0]] for r, js in zip(rows, live))))
         else:
-            rank = (2, info[1])
-        keyed.append((rank, pos, g, info))
-    keyed.sort(key=lambda item: (item[0], item[1]))
-    return [(g, info) for _, _, g, info in keyed]
+            nnz_off = sum(j != i for i, js in enumerate(live) for j in js)
+            general.append((nnz_off, pos, g))
+    general.sort(key=lambda item: item[:2])
+    return monomial, [g for _, _, g in general]
 
 
 def _monomial_permutation(field, basis, index, targets, scalars):
@@ -272,48 +259,73 @@ def _monomial_permutation(field, basis, index, targets, scalars):
     return perm, scale
 
 
-def _cycle_kernel(field, perm, scale):
-    """Fixed vectors of a scaled index permutation, one per cycle whose
-    scalar product is 1."""
-    size = len(perm)
-    seen = np.zeros(size, dtype=bool)
-    cycles = []
+def _orbit_kernel(field, moves):
+    """Fixed vectors of the group generated by scaled index permutations;
+    (perm, scale) in `moves` sends basis vector i to scale[i] times basis
+    vector perm[i].  A fixed vector v has v[perm[i]] = scale[i] * v[i], so
+    on each orbit it is one multiple of the values those edges propagate
+    from the orbit's first index.  An orbit gives a column when every edge
+    agrees with them and drops out otherwise."""
+    size = len(moves[0][0])
+    moves = [(perm.tolist(), scale.tolist()) for perm, scale in moves]
+    prod, q = algebra._product_table(field), field.q
+    value = [0] * size                        # 0: not reached yet
+    orbits = []
     for start in range(size):
-        if seen[start]:
+        if value[start]:
             continue
-        cycle = []
-        i = start
-        while not seen[i]:
-            seen[i] = True
-            cycle.append(i)
-            i = int(perm[i])
-        prod = field.one
-        for j in cycle:
-            prod = field.mul(prod, int(scale[j]))
-        if prod == field.one:
-            cycles.append(cycle)
-    out = np.zeros((size, len(cycles)), dtype=np.int64)
-    for col, cycle in enumerate(cycles):
-        c = field.one
-        for j in cycle:
-            out[j, col] = c
-            c = field.mul(c, int(scale[j]))
+        value[start] = field.one
+        orbit = [start]
+        agree = True
+        for i in orbit:                       # grows while it is walked
+            at = value[i]
+            for perm, scale in moves:
+                j, v = perm[i], prod[scale[i] * q + at]
+                if not value[j]:
+                    value[j] = v
+                    orbit.append(j)
+                elif value[j] != v:
+                    agree = False
+        if agree:
+            orbits.append(orbit)
+    out = np.zeros((size, len(orbits)), dtype=np.int64)
+    for col, orbit in enumerate(orbits):
+        out[orbit, col] = [value[i] for i in orbit]
     return out
 
 
-def _general_columns(field, n, g, basis, index, needed):
-    """Expanded action columns for the requested basis positions."""
+def _general_columns(field, g, exps, words, needed):
+    """Sparse action columns of g, as (row indices, raw values), at the
+    requested positions of a block whose position w*len(exps) + e holds
+    x^exps[e] dx_words[w].  Its image is the product of the images of
+    x^exps[e] and of dx_words[w], and each of those is computed once."""
+    rows = algebra._raw_rows(field, len(exps[0]), g.inverse_rows())
+    mul = _tables(field)[2]
+    width = len(exps)
+    exp_rank = {exp: e for e, exp in enumerate(exps)}
+    word_rank = {word: w * width for w, word in enumerate(words)}
+    polys, ext_images = {}, {}
     cols = {}
     for pos in needed:
-        exp, ext = basis[pos]
-        el = TensorElement(field, n, {ext: Polynomial(field, n, {exp: 1})})
-        image = tensor_act(g, el)
-        entries = {}
-        for ext2, poly in image.parts.items():
-            for exp2, raw in poly.terms.items():
-                entries[index[(exp2, ext2)]] = raw
-        cols[pos] = entries
+        w, e = divmod(pos, width)
+        poly = polys.get(e)
+        if poly is None:
+            poly = polys[e] = _ranked(exp_rank, algebra._substitute_terms(
+                field, rows, {exps[e]: field.one}))
+        word = ext_images.get(w)
+        if word is None:
+            word = ext_images[w] = _ranked(word_rank, algebra._exterior_image(
+                field, rows, words[w]))
+        cols[pos] = ((word[0][:, None] + poly[0]).ravel(),
+                     mul[word[1][:, None], poly[1]].ravel())
     return cols
+
+
+def _ranked(rank, image):
+    """(rank of each key, raw) int64 arrays of a {key: raw} image."""
+    size = len(image)
+    return (np.fromiter(map(rank.__getitem__, image), np.int64, size),
+            np.fromiter(image.values(), np.int64, size))
 
 
 def _image_product(field, cols, kernel):
@@ -324,9 +336,7 @@ def _image_product(field, cols, kernel):
     prime = field.e == 1
     if not prime:
         add, _, mul, _ = _tables(field)
-    for pos, entries in cols.items():
-        rows = np.fromiter(entries, np.int64, len(entries))
-        vals = np.fromiter(entries.values(), np.int64, len(entries))
+    for pos, (rows, vals) in cols.items():
         if prime:
             # at most len(cols) products below p^2 per entry: no overflow
             moved[rows] += vals[:, None] * kernel[pos]
@@ -337,41 +347,24 @@ def _image_product(field, cols, kernel):
     return moved
 
 
-def _apply_generator(field, basis, index, kernel, g, info):
+def _apply_generator(field, exps, words, kernel, g):
     """The fixed vectors of g inside the span of the kernel columns, or
     inside the whole block when kernel is None."""
-    size = len(basis)
-    if info[0] == "monomial":
-        perm, scale = _monomial_permutation(field, basis, index, info[1], info[2])
-        if kernel is None:
-            return _cycle_kernel(field, perm, scale)
-        moved = np.empty_like(kernel)
-        if field.e == 1:
-            # row i moves to perm[i], scaled by scale[i]
-            moved[perm] = kernel
-            at = np.empty_like(scale)
-            at[perm] = scale
-            moved *= at[:, None]
-            moved %= field.p
-        else:
-            _, _, mul, _ = _tables(field)
-            moved[perm] = mul[scale[:, None], kernel]
+    size = len(exps) * len(words)
+    if kernel is None:
+        needed = range(size)
     else:
-        if kernel is None:
-            needed = range(size)
-        else:
-            needed = np.nonzero(kernel.any(axis=1))[0].tolist()
-        cols = _general_columns(field, len(basis[0][0]), g, basis, index, needed)
-        if kernel is None:
-            # the action matrix minus the identity, eliminated in place
-            mat = np.zeros((size, size), dtype=np.int64)
-            for pos, entries in cols.items():
-                for row, raw in entries.items():
-                    mat[row, pos] = raw
-            diag = np.arange(size)
-            mat[diag, diag] = _subtract(mat[diag, diag], 1, field)
-            return _nullspace(mat, field)
-        moved = _image_product(field, cols, kernel)
+        needed = np.nonzero(kernel.any(axis=1))[0].tolist()
+    cols = _general_columns(field, g, exps, words, needed)
+    if kernel is None:
+        # the action matrix minus the identity, eliminated in place
+        mat = np.zeros((size, size), dtype=np.int64)
+        for pos, (rows, vals) in cols.items():
+            mat[rows, pos] = vals
+        diag = np.arange(size)
+        mat[diag, diag] = _subtract(mat[diag, diag], 1, field)
+        return _nullspace(mat, field)
+    moved = _image_product(field, cols, kernel)
     if field.e == 1:
         moved -= kernel
         moved %= field.p
@@ -389,17 +382,23 @@ def _subtract(x, y, field):
 
 
 def _block_kernel(field, n, gens, k, r):
-    """Basis and fixed-vector matrix of the (poly degree, ext length) block."""
-    basis = []
-    for ext in combinations(range(1, n + 1), r):
-        for exp in _monomials(n, k):
-            basis.append((exp, ext))
-    index = {pair: i for i, pair in enumerate(basis)}
+    """Basis and fixed-vector matrix of the (poly degree, ext length) block:
+    the orbit kernel of the monomial generators, cut down by the others
+    one at a time."""
+    exps = list(_monomials(n, k))
+    words = list(combinations(range(1, n + 1), r))
+    basis = [(exp, ext) for ext in words for exp in exps]
+    monomial, general = _split_generators(gens)
     kernel = None
-    for g, info in _sort_generators(gens):
+    if monomial:
+        index = {pair: i for i, pair in enumerate(basis)}
+        kernel = _orbit_kernel(field, [
+            _monomial_permutation(field, basis, index, targets, scalars)
+            for targets, scalars in monomial])
+    for g in general:
         if kernel is not None and kernel.shape[1] == 0:
             break
-        kernel = _apply_generator(field, basis, index, kernel, g, info)
+        kernel = _apply_generator(field, exps, words, kernel, g)
     if kernel is None:
         kernel = np.eye(len(basis), dtype=np.int64)
     return basis, kernel

@@ -23,6 +23,7 @@ from fqinv.errors import (
     FieldMismatch,
     FqinvError,
     NegativeDegree,
+    NotARawValue,
     NotDivisible,
     SerializationError,
 )
@@ -69,6 +70,11 @@ def test_polynomial_power_and_frobenius(rng):
         assert f ** 0 == Polynomial.one(F9, 2)
         assert f ** 3 == f * f * f
         assert f.q_power() == f ** F9.q
+
+
+def test_negative_power_raises_negative_degree():
+    with pytest.raises(NegativeDegree):
+        x(F3, 2, 1) ** -1
 
 
 def test_polynomial_degree_and_homogeneity():
@@ -192,6 +198,12 @@ def test_substitution_takes_raw_entries_unreduced():
             f.substitute_linear([[0, bad], [0, 1]])
     with pytest.raises(ArityMismatch):
         f.substitute_linear([[0, 1]])
+
+
+@pytest.mark.parametrize("bad", [-1, 9, 3.0])
+def test_entry_outside_the_raw_range_is_typed(bad):
+    with pytest.raises(NotARawValue):
+        x(F9, 2, 1).substitute_linear([[0, bad], [0, 1]])
 
 
 def test_action_composition_and_identity(rng):

@@ -185,7 +185,14 @@ def test_opoly_output_ignores_the_hash_seed():
      "fdde7ba3d8c2130432aee6e5241423db7fa3d626a5ac5a6a9d36b6c500380c2c"),
     (("mui", "--n", "4", "--p", "3", "--I", "0,2"),
      "d9c0074b51bdbf4e185fd177511513f74997aca929e6c6e14d1407af354b833f"),
-], ids=["verify", "mui"])
+    # the solver's orbit kernel of two monomial generators, cut down by
+    # transvections through block action columns; pinned to the output of
+    # the solver that intersected one generator at a time
+    (("fixed-dim", "--case", "e7_4", "--degree", "36"),
+     "0a44341eb99c2515b048669e1b1e66437c6c0e9af6df2d051ecf7c110bf34a27"),
+    (("verify", "--case", "e7_4", "--max-degree", "20"),
+     "6c38ac7a4adf74cf9baa3f068ece49220304b1bf8025d0dd73b957109ff340f4"),
+], ids=["verify", "mui", "fixed-dim-e7_4", "verify-e7_4"])
 def test_output_ignores_the_hash_seed(argv, sha256):
     assert hashlib.sha256(stdout_under_hash_seeds(*argv)).hexdigest() == sha256
 

@@ -23,7 +23,7 @@ from fqinv import (
     top_form,
     transvection,
 )
-from fqinv.errors import IndexOutOfRange, ProductTooLarge
+from fqinv.errors import IndexOutOfRange, ProductTooLarge, UnknownMethod
 
 from conftest import F3, F5
 
@@ -81,6 +81,13 @@ def test_orbit_product_routes_agree():
     with pytest.raises(ProductTooLarge):
         o_poly(F5, 5, 1)
     assert not o_poly(F5, 5, 1, "dickson_sum").is_zero()
+
+
+def test_unknown_methods_raise_one_typed_error():
+    with pytest.raises(UnknownMethod):
+        f_poly(F3, 2, "sum")
+    with pytest.raises(UnknownMethod):
+        o_poly(F3, 2, 1, "recursive")
 
 
 def test_orbit_product_vanishes_on_span_variables():

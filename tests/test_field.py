@@ -12,7 +12,7 @@ from fqinv.errors import (
     ReducibleModulus,
 )
 
-from conftest import ALL_FIELDS, F3, F9, F25, F27
+from conftest import ALL_FIELDS, F3, F5, F9, F25, F27
 
 
 def test_make_field_rejects_bad_parameters():
@@ -105,6 +105,19 @@ def test_element_coercion_prime_subfield():
     a = F9.element([1, 2])  # 1 + 2t
     assert a.coeffs == (1, 2)
     assert F9.element(a) == a
+
+
+def test_element_equals_only_its_canonical_int():
+    a = F5.element(3)
+    assert a == 3 and a != 8 and a != -2
+    assert len({a, 3}) == 1 and len({a, 8}) == 2
+    assert F9.from_raw(3) != 3 and F9.from_raw(3) != 0
+    for field in ALL_FIELDS:
+        for el in enumerate_elements(field):
+            for k in range(-field.q, 2 * field.q):
+                if el == k:
+                    assert k == el.raw < field.p
+                    assert hash(el) == hash(k)
 
 
 def test_element_operator_algebra():

@@ -1,8 +1,12 @@
 """Fixed subspaces, module series, case parsing, and verification."""
 
 import math
+from itertools import combinations
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, seed, settings
+from hypothesis import strategies as st
 
 from fqinv import (
     Case,
@@ -13,6 +17,7 @@ from fqinv import (
     case_elements,
     case_group,
     degree_cap,
+    diagonal,
     dickson_e,
     fixed_basis,
     fixed_dim,
@@ -25,6 +30,7 @@ from fqinv import (
     parse_case,
     tensor_act,
     theorem_basis,
+    transvection,
     verify_module,
     wilkerson_check,
     wilkerson_phi,
@@ -38,6 +44,10 @@ from fqinv.errors import (
 )
 
 from conftest import F3, F5, F9
+
+SETTINGS = settings(max_examples=30, deadline=None, derandomize=True,
+                    database=None,
+                    suppress_health_check=[HealthCheck.too_slow])
 
 
 # -- degreewise monomial basis ----------------------------------------------
@@ -99,14 +109,16 @@ def test_description_validation():
 
 # -- fixed subspaces ---------------------------------------------------------
 
-def _dense_fixed_dim(pres, d):
-    """Independent check: stack the (g - 1) matrices densely and row-reduce."""
-    field, n = pres.field, pres.n
+def _dense_fixed_dim(group, d):
+    """Independent check: stack the (g - 1) matrices densely and row-reduce.
+    group is a presentation or a list of matrices over a prime field."""
+    gens = list(getattr(group, "generators", group))
+    field, n = gens[0].field, gens[0].n
     p = field.p
     basis = monomial_basis(field, n, d)
     index = {be: k for k, be in enumerate(basis)}
     rows = []
-    for g in pres.generators:
+    for g in gens:
         cols = []
         for exp, ext in basis:
             el = TensorElement(field, n, {ext: Polynomial(field, n, {exp: 1})})
@@ -153,6 +165,134 @@ def test_fixed_dim_matches_dense_elimination():
     ]:
         for d in degrees:
             assert fixed_dim(pres, d) == _dense_fixed_dim(pres, d)
+
+
+@st.composite
+def mixed_presentations(draw, field):
+    """A diagonal with an entry other than 1, so that some orbits carry
+    disagreeing scalars and drop out, a scaled permutation, and up to two
+    transvections."""
+    n = draw(st.integers(2, 3), label="n")
+    units = st.integers(1, field.p - 1)
+    entries = [draw(st.integers(2, field.p - 1))] + \
+        [draw(units) for _ in range(n - 1)]
+    perm = draw(st.permutations(range(n)).filter(
+        lambda pm: pm != list(range(n))))
+    rows = [[0] * n for _ in range(n)]
+    for i, j in enumerate(perm):
+        rows[i][j] = draw(units)
+    gens = [diagonal(field, draw(st.permutations(entries))),
+            GroupMatrix(field, rows)]
+    for _ in range(draw(st.integers(0, 2))):
+        i, j = draw(st.permutations(range(1, n + 1)))[:2]
+        gens.append(transvection(field, n, i, j, draw(units)))
+    return draw(st.permutations(gens))
+
+
+@pytest.mark.parametrize("field", (F3, F5), ids=repr)
+@seed(20261018)
+@SETTINGS
+@given(data=st.data())
+def test_fixed_dim_matches_dense_elimination_on_random_groups(field, data):
+    gens = data.draw(mixed_presentations(field), label="gens")
+    for d in range(8 if gens[0].n == 2 else 6):
+        assert fixed_dim(gens, d) == _dense_fixed_dim(gens, d), d
+
+
+def reference_columns(field, n, g, basis, index, needed):
+    """Action columns of g as {row: raw}, one tensor_act per basis
+    position."""
+    cols = {}
+    for pos in needed:
+        exp, ext = basis[pos]
+        el = TensorElement(field, n, {ext: Polynomial(field, n, {exp: 1})})
+        entries = {}
+        for ext2, poly in tensor_act(g, el).parts.items():
+            for exp2, raw in poly.terms.items():
+                entries[index[(exp2, ext2)]] = raw
+        cols[pos] = entries
+    return cols
+
+
+def _blocks(n, d_max):
+    """(exps, words, basis, index) of every block up to degree d_max, in
+    the solver's order."""
+    for d in range(d_max + 1):
+        for k, r in fixedpoint._block_shapes(n, d):
+            exps = list(fixedpoint._monomials(n, k))
+            words = list(combinations(range(1, n + 1), r))
+            basis = [(exp, ext) for ext in words for exp in exps]
+            yield exps, words, basis, {be: i for i, be in enumerate(basis)}
+
+
+@pytest.mark.parametrize("pres, d_max", [
+    (case_group("e6_4"), 12),
+    (case_group("e8_p5_3"), 14),
+    (gens_standard("gl", 3, F9), 12),
+], ids=["e6_4", "e8_p5_3", "gl(3,9)"])
+def test_block_columns_match_tensor_act(pres, d_max):
+    field, n = pres.field, pres.n
+    _, general = fixedpoint._split_generators(pres.generators)
+    assert general
+    for exps, words, basis, index in _blocks(n, d_max):
+        for g in general:
+            got = fixedpoint._general_columns(field, g, exps, words,
+                                              range(len(basis)))
+            want = reference_columns(field, n, g, basis, index,
+                                     range(len(basis)))
+            assert got.keys() == want.keys()
+            for pos, (rows, vals) in got.items():
+                assert dict(zip(rows.tolist(), vals.tolist())) == want[pos]
+
+
+def reference_cycle_kernel(field, perm, scale):
+    """Fixed vectors of one scaled index permutation, one per cycle whose
+    scalar product is 1."""
+    size = len(perm)
+    seen = np.zeros(size, dtype=bool)
+    cycles = []
+    for start in range(size):
+        if seen[start]:
+            continue
+        cycle = []
+        i = start
+        while not seen[i]:
+            seen[i] = True
+            cycle.append(i)
+            i = int(perm[i])
+        prod = field.one
+        for j in cycle:
+            prod = field.mul(prod, int(scale[j]))
+        if prod == field.one:
+            cycles.append(cycle)
+    out = np.zeros((size, len(cycles)), dtype=np.int64)
+    for col, cycle in enumerate(cycles):
+        c = field.one
+        for j in cycle:
+            out[j, col] = c
+            c = field.mul(c, int(scale[j]))
+    return out
+
+
+@pytest.mark.parametrize("gens, d_max", [
+    (case_group("e7_4").generators, 12),
+    (case_group("e8_5a").generators, 6),
+    ([GroupMatrix(F9, [[0, F9.from_raw(3)], [1, 0]]),
+      diagonal(F9, [F9.from_raw(4), 1])], 14),
+], ids=["e7_4", "e8_5a", "F9 monomials"])
+def test_orbit_kernel_of_one_generator_spans_its_cycle_kernel(gens, d_max):
+    field, n = gens[0].field, gens[0].n
+    monomial, _ = fixedpoint._split_generators(gens)
+    assert len(monomial) >= 2
+    for _, _, basis, index in _blocks(n, d_max):
+        for targets, scalars in monomial:
+            move = fixedpoint._monomial_permutation(field, basis, index,
+                                                    targets, scalars)
+            got = fixedpoint._orbit_kernel(field, [move])
+            want = reference_cycle_kernel(field, *move)
+            assert got.shape == want.shape
+            assert np.array_equal(fixedpoint._rref_rows(got.T, field),
+                                  fixedpoint._rref_rows(want.T, field))
 
 
 def test_fixed_dim_exterior_filter():
