@@ -849,7 +849,7 @@ class TensorElement:
         for ext, poly in self.parts.items():
             images = [mapping[j] for j in ext]
             if len(set(images)) != len(images):
-                raise ValueError("mapping must be injective on exterior indices")
+                raise BadIndexTuple("mapping must be injective on exterior indices")
             sign = _sort_sign(images)
             new_ext = tuple(sorted(images))
             p = poly.map_variables(new_n, mapping)

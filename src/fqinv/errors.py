@@ -73,7 +73,8 @@ class DegreeMismatch(FqinvError, ValueError):
 
 
 class ArityTooSmall(FqinvError, ValueError):
-    """A variable count is below what the construction needs."""
+    """A variable count is below what the construction needs, or a
+    generator list is empty."""
 
 
 class NegativeDegree(FqinvError, ValueError):
@@ -81,8 +82,9 @@ class NegativeDegree(FqinvError, ValueError):
 
 
 class BadIndexTuple(FqinvError, ValueError):
-    """An index tuple is not strictly increasing, or an exterior word has
-    an index outside 1..n."""
+    """An index tuple is not strictly increasing, an exterior word has an
+    index outside 1..n, a transvection's two indices are equal, or a
+    variable mapping is not injective on the exterior indices in use."""
 
 
 class ProductTooLarge(FqinvError, ValueError):
@@ -112,7 +114,8 @@ class UnknownCase(FqinvError, ValueError):
 
 
 class CaseFieldMismatch(FqinvError, ValueError):
-    pass
+    """A named case was given a field or size it does not live over, or a
+    parameterized case was given no field or no size."""
 
 
 # verification engine

@@ -33,6 +33,7 @@ from . import algebra
 from .algebra import Polynomial, TensorElement
 from .dickson import dickson_c, dickson_e, index_subsets, o_poly
 from .errors import (
+    ArityTooSmall,
     FeasibilityCapExceeded,
     NegativeDegree,
     NotApplicable,
@@ -237,25 +238,37 @@ def _split_generators(gens):
     return monomial, [g for _, _, g in general]
 
 
-def _monomial_permutation(field, basis, index, targets, scalars):
-    """Index permutation and scalar twist of a monomial substitution."""
+def _monomial_permutation(field, exps, words, targets, scalars):
+    """Index permutation and scalar twist of a monomial substitution on a
+    block whose position w*len(exps) + e holds x^exps[e] dx_words[w]: the
+    image of each exponent and of each word is computed once."""
     n = len(targets)
-    perm = np.empty(len(basis), dtype=np.int64)
-    scale = np.empty(len(basis), dtype=np.int64)
-    for pos, (exp, ext) in enumerate(basis):
+    exp_rank = {exp: e for e, exp in enumerate(exps)}
+    word_rank = {word: w for w, word in enumerate(words)}
+    eperm, escale = [], []
+    for exp in exps:
         new_exp = [0] * n
         s = field.one
         for i, e in enumerate(exp):
             if e:
                 new_exp[targets[i] - 1] += e
                 s = field.mul(s, field.pow_(scalars[i], e))
-        images = [targets[i - 1] for i in ext]
-        for i in ext:
+        eperm.append(exp_rank[tuple(new_exp)])
+        escale.append(s)
+    wperm, wscale = [], []
+    for word in words:
+        images = [targets[i - 1] for i in word]
+        s = field.one
+        for i in word:
             s = field.mul(s, scalars[i - 1])
         if algebra._sort_sign(images) < 0:
             s = field.neg(s)
-        perm[pos] = index[(tuple(new_exp), tuple(sorted(images)))]
-        scale[pos] = s
+        wperm.append(word_rank[tuple(sorted(images))])
+        wscale.append(s)
+    eperm, escale = np.array(eperm, np.int64), np.array(escale, np.int64)
+    wperm, wscale = np.array(wperm, np.int64), np.array(wscale, np.int64)
+    perm = (wperm[:, None] * len(exps) + eperm).ravel()
+    scale = _tables(field)[2][wscale[:, None], escale].ravel()
     return perm, scale
 
 
@@ -391,9 +404,8 @@ def _block_kernel(field, n, gens, k, r):
     monomial, general = _split_generators(gens)
     kernel = None
     if monomial:
-        index = {pair: i for i, pair in enumerate(basis)}
         kernel = _orbit_kernel(field, [
-            _monomial_permutation(field, basis, index, targets, scalars)
+            _monomial_permutation(field, exps, words, targets, scalars)
             for targets, scalars in monomial])
     for g in general:
         if kernel is not None and kernel.shape[1] == 0:
@@ -409,7 +421,7 @@ def _resolve_group(group):
         return group.field, group.n, list(group.generators)
     gens = list(group)
     if not gens:
-        raise ValueError("need a GroupPresentation or a nonempty matrix list")
+        raise ArityTooSmall("need a GroupPresentation or a nonempty matrix list")
     return gens[0].field, gens[0].n, gens
 
 

@@ -17,6 +17,7 @@ from . import algebra
 from .errors import (
     ArityMismatch,
     ArityTooSmall,
+    BadIndexTuple,
     CapExceeded,
     CaseFieldMismatch,
     FieldMismatch,
@@ -139,7 +140,7 @@ class GroupPresentation:
 def transvection(field, n, i, j, c=1) -> GroupMatrix:
     """Identity plus c in position (i, j), i != j, 1-based."""
     if i == j:
-        raise ValueError("transvection needs i != j")
+        raise BadIndexTuple("transvection needs i != j")
     rows = [[int(a == b) for b in range(1, n + 1)] for a in range(1, n + 1)]
     rows[i - 1][j - 1] = c
     return GroupMatrix(field, rows)
@@ -244,7 +245,7 @@ def gens_case(label: str, field: FieldSpec = None, n: int = None) -> GroupPresen
     """
     if label in ("g0", "parabolic"):
         if field is None or n is None:
-            raise ValueError(f"case {label!r} needs both field and n")
+            raise CaseFieldMismatch(f"case {label!r} needs both field and n")
         if n < 2:
             raise ArityTooSmall("need n >= 2")
         q = field.q
@@ -304,59 +305,110 @@ def is_invariant(u, group) -> bool:
 def group_order_bfs(group, cap: int = 10 ** 6) -> int:
     """Count the closure of the generators by breadth-first products.
 
-    Raises CapExceeded as soon as the closure grows past cap.  Prime
-    fields run on batched integer matrix products; extension fields fall
-    back to plain Python (they only appear at small orders here).
+    Row i of M*g is (row i of M)*g, so an element is the tuple of the
+    indices of its rows in the union of the orbits of the identity's rows,
+    and each generator acts on those indices by one table.  Every field
+    runs the same vectorised closure: over F_{p^e} a row is its n*e
+    base-p digits, and g acts on them by its regular representation over
+    F_p.  Raises CapExceeded exactly when the order exceeds cap.
     """
     gens = group.generators if isinstance(group, GroupPresentation) else list(group)
     if not gens:
         return 1
-    field = gens[0].field
-    n = gens[0].n
-    if field.e == 1:
-        return _bfs_numpy(field, n, gens, cap)
-    return _bfs_python(field, n, gens, cap)
+    field, n = gens[0].field, gens[0].n
+    for g in gens:
+        if g.field != field:
+            raise FieldMismatch(f"{field} vs {g.field}")
+        if g.n != n:
+            raise ArityMismatch(f"{n} x {n} vs {g.n} x {g.n} generators")
+    p, width = field.p, n * field.e
+    act = np.concatenate([_regular(field, g) for g in gens], axis=1)
+
+    def move_rows(rows):
+        return (rows @ act % p).reshape(-1, width)
+
+    ident = np.zeros((n, width), dtype=np.int64)
+    ident[np.arange(n), np.arange(0, width, field.e)] = 1
+    row_keys = _closure(ident, move_rows, p, cap)
+    # tables[k, i]: the index of row i times gens[k], rows in key order, in
+    # the narrowest int type that holds an index (each level gathers
+    # len(gens) * n entries per frontier element from it)
+    images = _keys(move_rows(_rows(row_keys, p, width)), p)
+    tables = np.searchsorted(row_keys, images).reshape(len(row_keys), -1).T
+    tables = np.ascontiguousarray(tables, dtype=np.min_scalar_type(len(row_keys)))
+
+    def move_elements(elements):
+        return tables[:, elements].reshape(-1, n)
+
+    start = np.searchsorted(row_keys, _keys(ident, p))[None, :]
+    return len(_closure(start, move_elements, len(row_keys), cap))
 
 
-def _bfs_numpy(field, n, gens, cap):
-    p = field.p
-    G = np.array([g.rows for g in gens], dtype=np.int64)
-    ident = np.eye(n, dtype=np.int64)
-    powers = p ** np.arange(n * n, dtype=np.int64)
-    if p ** (n * n) > 2 ** 62:
-        return _bfs_python(field, n, gens, cap)
-
-    def keys_of(mats):
-        return mats.reshape(len(mats), n * n) @ powers
-
-    visited = {int(keys_of(ident[None])[0])}
-    frontier = ident[None]
+def _closure(start, step, base, cap):
+    """Sorted keys of every row reachable from the rows of start by step,
+    which maps a frontier of rows (ints in range(base)) to their images
+    under every generator.  Each start row's orbit has at most the group
+    order, so more than cap * len(start) rows prove that it exceeds cap."""
+    width = start.shape[1]
+    visited = np.unique(_keys(start, base))
+    frontier = start
     while len(frontier):
-        prod = np.einsum("fij,gjk->fgik", frontier, G) % p
-        prod = prod.reshape(-1, n, n)
-        keys = keys_of(prod)
-        uniq, idx = np.unique(keys, return_index=True)
-        fresh = [i for k, i in zip(uniq.tolist(), idx.tolist()) if k not in visited]
-        visited.update(int(keys[i]) for i in fresh)
-        if len(visited) > cap:
+        keys = np.sort(_keys(step(frontier), base))
+        pos = np.searchsorted(visited, keys)
+        new = visited[np.minimum(pos, len(visited) - 1)] != keys
+        new[1:] &= keys[1:] != keys[:-1]
+        visited = np.insert(visited, pos[new], keys[new])
+        if len(visited) > cap * len(start):
             raise CapExceeded(f"closure exceeded cap {cap}")
-        frontier = prod[fresh]
-    return len(visited)
+        frontier = _rows(keys[new], base, width)
+    return visited
 
 
-def _bfs_python(field, n, gens, cap):
-    from collections import deque
+def _regular(field, g):
+    """The (n*e) x (n*e) matrix over F_p by which g acts on base-p digit
+    rows: digits(v*g) = digits(v) @ _regular(field, g) mod p."""
+    e = field.e
+    out = np.zeros((g.n * e, g.n * e), dtype=np.int64)
+    for i, row in enumerate(g.rows):
+        for j, c in enumerate(row):
+            if c:
+                for k in range(e):
+                    out[i * e + k, j * e:(j + 1) * e] = field.coeffs(
+                        field.mul(field.p ** k, c))
+    return out
 
-    ident = GroupMatrix.identity(field, n)
-    visited = {ident.rows}
-    queue = deque([ident])
-    while queue:
-        m = queue.popleft()
-        for g in gens:
-            w = m * g
-            if w.rows not in visited:
-                visited.add(w.rows)
-                if len(visited) > cap:
-                    raise CapExceeded(f"closure exceeded cap {cap}")
-                queue.append(w)
-    return len(visited)
+
+def _digits_per_word(base, width):
+    per = 1
+    while per < width and base ** (per + 1) <= 2 ** 62:
+        per += 1
+    return per
+
+
+def _keys(rows, base):
+    """One key per row of a matrix of ints in range(base), equal exactly
+    when the rows are: an int64 when base**width fits in 62 bits, else the
+    row's big-endian int64 words viewed as one raw-bytes value."""
+    per = _digits_per_word(base, rows.shape[1])
+    words = []
+    for lo in range(0, rows.shape[1], per):
+        word = np.zeros(len(rows), dtype=np.int64)
+        for col in rows.T[lo:lo + per]:
+            word = word * base + col
+        words.append(word)
+    if len(words) == 1:
+        return words[0]
+    return np.stack(words, axis=1).astype(">i8").view(f"V{8 * len(words)}").ravel()
+
+
+def _rows(keys, base, width):
+    """The rows whose _keys are keys."""
+    per = _digits_per_word(base, width)
+    count = keys.itemsize // 8
+    words = (keys.view(">i8") if count > 1 else keys).reshape(len(keys), count)
+    out = np.empty((len(keys), width), dtype=np.int64)
+    for w, lo in enumerate(range(0, width, per)):
+        word = words[:, w].astype(np.int64)
+        for col in reversed(range(lo, min(lo + per, width))):
+            word, out[:, col] = np.divmod(word, base)
+    return out

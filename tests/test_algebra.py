@@ -173,6 +173,17 @@ def test_bad_exterior_words_raise_bad_index_tuple(ext):
         TensorElement.dx(F3, 3, ext)
 
 
+def test_map_variables_not_injective_on_words_raises_bad_index_tuple():
+    u = dx(F3, 3, 1, 2)
+    with pytest.raises(BadIndexTuple) as info:
+        u.map_variables(3, {1: 2, 2: 2, 3: 3})
+    assert isinstance(info.value, ValueError)
+    # exponents may still merge: x1 dx3 and x2 dx3 map to x1 dx2 twice
+    v = TensorElement(F3, 3, {(3,): x(F3, 3, 1) + x(F3, 3, 2)})
+    assert v.map_variables(2, {1: 1, 2: 1, 3: 2}) == TensorElement(
+        F3, 2, {(2,): x(F3, 2, 1).scale_raw(2)})
+
+
 # -- group action ------------------------------------------------------------
 
 def test_action_on_variables_uses_inverse_rows():

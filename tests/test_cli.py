@@ -153,21 +153,36 @@ OPOLY_4_5_SHA256 = \
     "75fd6945ebe74cec0f9f27e8a1d701a3a5a1ab86f58711b003d1c32729095198"
 
 
+def run_module(module, *argv, **env):
+    """The finished `python -m module argv` in a fresh interpreter that
+    imports this checkout's fqinv, with env added to the environment."""
+    src = str(Path(fqinv.__file__).resolve().parent.parent)
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", module, *argv],
+                          capture_output=True, env=env, timeout=300)
+
+
 def stdout_under_hash_seeds(*argv):
     """stdout of the command in fresh interpreters under PYTHONHASHSEED
     0, 1 and 2; asserts the three are byte-identical."""
-    src = str(Path(fqinv.__file__).resolve().parent.parent)
     outputs = []
     for hash_seed in ("0", "1", "2"):
-        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
-                   PYTHONPATH=os.pathsep.join(
-                       filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run(
-            [sys.executable, "-m", "fqinv.cli", *argv],
-            capture_output=True, env=env, check=True, timeout=300)
+        proc = run_module("fqinv.cli", *argv, PYTHONHASHSEED=hash_seed)
+        assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1] == outputs[2]
     return outputs[0]
+
+
+def test_python_dash_m_fqinv_runs_the_cli(capsys):
+    argv = ("order", "--case", "f4_3", "--bfs")
+    proc = run_module("fqinv", *argv)
+    assert proc.returncode == 0, proc.stderr
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert proc.stdout.decode() == out
+    assert json.loads(out)["match"] is True
 
 
 def test_opoly_output_ignores_the_hash_seed():

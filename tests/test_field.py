@@ -1,6 +1,8 @@
 """Field construction and arithmetic."""
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from fqinv import FieldElement, enumerate_elements, make_field
 from fqinv.errors import (
@@ -59,6 +61,34 @@ def test_raw_arithmetic_laws(field, rng):
             field.add(field.mul(a, b), field.mul(a, c))
         assert field.add(a, field.neg(a)) == 0
         assert field.sub(a, b) == field.add(a, field.neg(b))
+
+
+@pytest.mark.parametrize("field", ALL_FIELDS, ids=lambda f: f"q{f.q}")
+@seed(20261018)
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_field_axioms(field, data):
+    raws = st.integers(0, field.q - 1)
+    a, b, c = (data.draw(raws, label=name) for name in "abc")
+    add, mul = field.add, field.mul
+    assert add(add(a, b), c) == add(a, add(b, c))
+    assert mul(mul(a, b), c) == mul(a, mul(b, c))
+    assert add(a, b) == add(b, a)
+    assert mul(a, b) == mul(b, a)
+    assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
+    assert add(a, field.zero) == a and mul(a, field.one) == a
+    assert add(a, field.neg(a)) == field.zero
+    assert field.sub(a, b) == add(a, field.neg(b))
+    if a:
+        assert mul(a, field.inv(a)) == field.one
+        assert field.div(b, a) == mul(b, field.inv(a))
+    k = data.draw(st.integers(0, 2 * field.q), label="k")
+    power = field.one
+    for _ in range(k):
+        power = mul(power, a)
+    assert field.pow_(a, k) == power
+    if a:
+        assert field.pow_(a, -k) == field.inv(power)
 
 
 @pytest.mark.parametrize("field", ALL_FIELDS, ids=lambda f: f"q{f.q}")

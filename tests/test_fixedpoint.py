@@ -35,8 +35,9 @@ from fqinv import (
     wilkerson_check,
     wilkerson_phi,
 )
-from fqinv import fixedpoint
+from fqinv import algebra, fixedpoint
 from fqinv.errors import (
+    ArityTooSmall,
     FeasibilityCapExceeded,
     NegativeDegree,
     NotApplicable,
@@ -284,15 +285,65 @@ def test_orbit_kernel_of_one_generator_spans_its_cycle_kernel(gens, d_max):
     field, n = gens[0].field, gens[0].n
     monomial, _ = fixedpoint._split_generators(gens)
     assert len(monomial) >= 2
-    for _, _, basis, index in _blocks(n, d_max):
+    for exps, words, _, _ in _blocks(n, d_max):
         for targets, scalars in monomial:
-            move = fixedpoint._monomial_permutation(field, basis, index,
+            move = fixedpoint._monomial_permutation(field, exps, words,
                                                     targets, scalars)
             got = fixedpoint._orbit_kernel(field, [move])
             want = reference_cycle_kernel(field, *move)
             assert got.shape == want.shape
             assert np.array_equal(fixedpoint._rref_rows(got.T, field),
                                   fixedpoint._rref_rows(want.T, field))
+
+
+def reference_monomial_permutation(field, basis, index, targets, scalars):
+    """Index permutation and scalar twist of a monomial substitution, one
+    basis position at a time."""
+    n = len(targets)
+    perm = np.empty(len(basis), dtype=np.int64)
+    scale = np.empty(len(basis), dtype=np.int64)
+    for pos, (exp, ext) in enumerate(basis):
+        new_exp = [0] * n
+        s = field.one
+        for i, e in enumerate(exp):
+            if e:
+                new_exp[targets[i] - 1] += e
+                s = field.mul(s, field.pow_(scalars[i], e))
+        images = [targets[i - 1] for i in ext]
+        for i in ext:
+            s = field.mul(s, scalars[i - 1])
+        if algebra._sort_sign(images) < 0:
+            s = field.neg(s)
+        perm[pos] = index[(tuple(new_exp), tuple(sorted(images)))]
+        scale[pos] = s
+    return perm, scale
+
+
+@pytest.mark.parametrize("gens, d_max", [
+    (case_group("e7_4").generators, 14),
+    (case_group("e8_5a").generators, 8),
+    (gens_standard("gl", 3, F9).generators
+     + (GroupMatrix(F9, [[0, 0, F9.from_raw(5)], [1, 0, 0], [0, 1, 0]]),), 10),
+], ids=["e7_4", "e8_5a", "gl(3,9)"])
+def test_monomial_permutation_matches_per_position_loop(gens, d_max):
+    field, n = gens[0].field, gens[0].n
+    monomial, _ = fixedpoint._split_generators(gens)
+    assert monomial
+    for exps, words, basis, index in _blocks(n, d_max):
+        for targets, scalars in monomial:
+            perm, scale = fixedpoint._monomial_permutation(
+                field, exps, words, targets, scalars)
+            want_perm, want_scale = reference_monomial_permutation(
+                field, basis, index, targets, scalars)
+            assert np.array_equal(perm, want_perm)
+            assert np.array_equal(scale, want_scale)
+
+
+def test_empty_generator_list_raises_arity_too_small():
+    for call in (fixed_dim, fixed_basis):
+        with pytest.raises(ArityTooSmall) as info:
+            call([], 2)
+        assert isinstance(info.value, ValueError)
 
 
 def test_fixed_dim_exterior_filter():

@@ -1,6 +1,11 @@
 """Matrix groups: arithmetic, presentations, orders, invariance."""
 
+from collections import deque
+
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, seed, settings
+from hypothesis import strategies as st
 
 from fqinv import (
     GroupMatrix,
@@ -17,15 +22,23 @@ from fqinv import (
     sl_order,
     transvection,
 )
+from fqinv import groups
 from fqinv.errors import (
     ArityMismatch,
+    BadIndexTuple,
     CapExceeded,
+    CaseFieldMismatch,
+    FieldMismatch,
     FqinvError,
     SingularMatrix,
     UnknownCase,
 )
 
-from conftest import F3, F5, F9, random_invertible
+from conftest import F3, F5, F9, F25, random_invertible
+
+SETTINGS = settings(max_examples=30, deadline=None, derandomize=True,
+                    database=None,
+                    suppress_health_check=[HealthCheck.too_slow])
 
 
 def test_elementary_matrices():
@@ -33,8 +46,9 @@ def test_elementary_matrices():
     assert t.rows == ((1, 0, 2), (0, 1, 0), (0, 0, 1))
     d = diagonal(F3, [2, 1])
     assert d.rows == ((2, 0), (0, 1))
-    with pytest.raises(ValueError):
+    with pytest.raises(BadIndexTuple) as info:
         transvection(F3, 2, 1, 1)
+    assert isinstance(info.value, ValueError)
 
 
 @pytest.mark.parametrize("rows", [[[1, 0], [0]], [[1, 0, 0], [0, 1, 0]],
@@ -120,6 +134,15 @@ def test_case_presentations():
         gens_case("e9_4")
 
 
+@pytest.mark.parametrize("label", ["g0", "parabolic"])
+@pytest.mark.parametrize("field, n", [(None, 3), (F3, None), (None, None)],
+                         ids=["no field", "no n", "neither"])
+def test_parameterized_case_needs_field_and_n(label, field, n):
+    with pytest.raises(CaseFieldMismatch) as info:
+        gens_case(label, field, n)
+    assert isinstance(info.value, ValueError)
+
+
 def test_bfs_orders_match_formulas():
     assert group_order_bfs(gens_standard("sl", 2, F3)) == 24
     assert group_order_bfs(gens_standard("gl", 2, F3)) == 48
@@ -130,6 +153,94 @@ def test_bfs_orders_match_formulas():
 def test_bfs_cap_is_enforced():
     with pytest.raises(CapExceeded):
         group_order_bfs(gens_standard("sl", 2, F3), cap=10)
+
+
+def reference_bfs(gens, cap):
+    """Breadth-first closure by one GroupMatrix product at a time."""
+    ident = GroupMatrix.identity(gens[0].field, gens[0].n)
+    visited = {ident.rows}
+    queue = deque([ident])
+    while queue:
+        m = queue.popleft()
+        for g in gens:
+            w = m * g
+            if w.rows not in visited:
+                visited.add(w.rows)
+                if len(visited) > cap:
+                    raise CapExceeded(f"closure exceeded cap {cap}")
+                queue.append(w)
+    return len(visited)
+
+
+def generator_pool(field, n):
+    """The gl generators plus a scaled n-cycle and a -1 reflection."""
+    unit = field.from_raw(field.q - 1)           # an extension element if e > 1
+    cycle = [[unit if j == (i + 1) % n else 0 for j in range(n)]
+             for i in range(n)]
+    return (gens_standard("gl", n, field).generators
+            + (GroupMatrix(field, cycle),
+               diagonal(field, [field.p - 1] + [1] * (n - 1))))
+
+
+@pytest.mark.parametrize("field", (F3, F5, F9, F25), ids=repr)
+@seed(20261018)
+@SETTINGS
+@given(data=st.data())
+def test_closure_matches_product_bfs_on_random_generator_subsets(field, data):
+    n = data.draw(st.sampled_from((2, 3)), label="n")
+    pool = generator_pool(field, n)
+    picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1,
+                               max_size=4, unique=True), label="picks")
+    gens = [pool[i] for i in picks]
+    cap = data.draw(st.integers(1, 2000), label="cap")
+    try:
+        order = reference_bfs(gens, cap)
+    except CapExceeded:
+        with pytest.raises(CapExceeded):
+            group_order_bfs(gens, cap)
+        return
+    assert group_order_bfs(gens, cap) == order
+    assert group_order_bfs(gens, order) == order
+    if order > 1:
+        with pytest.raises(CapExceeded):
+            group_order_bfs(gens, order - 1)
+
+
+def test_bfs_rejects_mixed_generators():
+    with pytest.raises(FieldMismatch):
+        group_order_bfs([GroupMatrix.identity(F3, 2),
+                         GroupMatrix.identity(F9, 2)])
+    with pytest.raises(ArityMismatch):
+        group_order_bfs([GroupMatrix.identity(F3, 2),
+                         GroupMatrix.identity(F3, 3)])
+
+
+def test_wide_keys_over_f9_g0():
+    # the identity's rows have 9**4 + 4 = 6565 images, and 6565**5 > 2**62,
+    # so each element key spans two int64 words
+    assert group_order_bfs(gens_case("g0", F9, 5)) == 9 ** 4
+
+
+@pytest.mark.parametrize("base, width", [(3, 4), (6565, 5), (113, 30)])
+def test_keys_round_trip(rng, base, width):
+    rows = np.array([[rng.randrange(base) for _ in range(width)]
+                     for _ in range(200)], dtype=np.int64)
+    rows[1] = rows[0]
+    keys = groups._keys(rows, base)
+    assert np.array_equal(groups._rows(keys, base, width), rows)
+    assert len(np.unique(keys)) == len({tuple(r) for r in rows.tolist()})
+
+
+@pytest.mark.parametrize("kind, field", [("sl", F9), ("gl", F9), ("sl", F25)],
+                         ids=["sl(2,9)", "gl(2,9)", "sl(2,25)"])
+def test_extension_field_cap_is_exact(kind, field):
+    pres = gens_standard(kind, 2, field)
+    assert group_order_bfs(pres, cap=pres.order) == pres.order
+    with pytest.raises(CapExceeded):
+        group_order_bfs(pres, cap=pres.order - 1)
+    # far below the order, the row orbits alone exceed n * cap
+    with pytest.raises(CapExceeded):
+        group_order_bfs(pres, cap=10)
 
 
 def test_act_applies_contragredient_substitution():
