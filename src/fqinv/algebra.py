@@ -29,6 +29,7 @@ from .errors import (
     FieldMismatch,
     IndexOutOfRange,
     NegativeDegree,
+    NotAFieldValue,
     NotARawValue,
     NotDivisible,
     SerializationError,
@@ -266,7 +267,7 @@ def _coerce_raw(field, c) -> int:
         return c.raw
     if isinstance(c, int):
         return c % field.p
-    raise TypeError(f"cannot use {type(c).__name__} as a field value")
+    raise NotAFieldValue(f"cannot use {type(c).__name__} as a field value")
 
 
 def _raw_value(field, c) -> int:

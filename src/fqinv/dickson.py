@@ -13,11 +13,16 @@ the top exterior class dx_1...dx_n:
   * o_poly(n, i): the orbit product of x_i over the span of x_2..x_n.
   * mui_det / mui_bracket: determinant and shuffle-sum forms of the same
     classes, used to cross-check the operator route sign by sign.
+
+The brute "product" routes (f_poly, o_poly, o_prev) multiply their linear
+factors coset by coset: q at a time (a line), then q of those (a plane), and
+so on.  A coset product P_W(x) - P_W(v) stays sparse where one running
+product goes dense; no additivity is used, so it stays an independent oracle.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations, permutations, product
 
 from .algebra import Polynomial, TensorElement, exact_divide
@@ -26,6 +31,7 @@ from .errors import (
     DegreeMismatch,
     IndexOutOfRange,
     ProductTooLarge,
+    UnknownCase,
     UnknownMethod,
 )
 from .field import FieldSpec
@@ -73,14 +79,27 @@ def _with_x(field, n):
     return n + 1
 
 
+def _span_product(field, N, lead, span) -> Polynomial:
+    """Product of x_lead + sum_t a_t x_{span[t]} over all raw vectors a,
+    q factors (one coset) at a time; see the module docstring."""
+    q, head = field.q, Polynomial.variable(field, N, lead)
+    xs = [Polynomial.variable(field, N, t) for t in span]
+    level = [sum((x.scale_raw(a) for x, a in zip(xs, vec) if a), head)
+             for vec in product(range(q), repeat=len(xs))]
+    while len(level) > 1:
+        level = [reduce(Polynomial.__mul__, level[k:k + q])
+                 for k in range(0, len(level), q)]
+    return level[0]
+
+
 def f_poly(field: FieldSpec, n: int, method: str = "recursive") -> Polynomial:
     """Product of (X + v) over the q^n span vectors v, as a polynomial in
     n + 1 variables with X last.
 
     The recursive method iterates span(x_1..x_k) = span(x_1..x_{k-1})
     extended by x_k, one Frobenius and one scaled product per step.  The
-    brute product is kept as an independent oracle and refuses to run
-    past q^n = 243 factors.
+    brute product multiplies the q^n factors coset by coset; it is kept
+    as an independent oracle and refuses to run past q^n = 243 factors.
     """
     if n < 1:
         raise ArityTooSmall("need n >= 1")
@@ -90,14 +109,7 @@ def f_poly(field: FieldSpec, n: int, method: str = "recursive") -> Polynomial:
     if method == "product":
         if q ** n > _PRODUCT_CAP:
             raise ProductTooLarge(f"q^n = {q ** n} exceeds {_PRODUCT_CAP}")
-        acc = Polynomial.one(field, N)
-        for vec in product(range(q), repeat=n):
-            form = Polynomial.variable(field, N, X)
-            for i, a in enumerate(vec):
-                if a:
-                    form = form + Polynomial.variable(field, N, i + 1).scale_raw(a)
-            acc = acc * form
-        return acc
+        return _span_product(field, N, X, range(1, n + 1))
     if method != "recursive":
         raise UnknownMethod(f"unknown method {method!r}")
     f = Polynomial.one(field, N)
@@ -128,8 +140,8 @@ def o_poly(field: FieldSpec, n: int, i: int, method: str = "product") -> Polynom
     """Orbit product of x_i over the span of x_2..x_n, in n variables.
 
     For i >= 2 the product hits the factor x_i - x_i and collapses to 0.
-    dickson_sum evaluates the additive expansion with Dickson coefficient
-    weights instead of multiplying q^{n-1} factors.
+    The product route multiplies the q^{n-1} factors coset by coset;
+    dickson_sum evaluates the additive expansion with Dickson weights.
     """
     if not 1 <= i <= n:
         raise IndexOutOfRange(f"variable index {i} not in 1..{n}")
@@ -137,14 +149,7 @@ def o_poly(field: FieldSpec, n: int, i: int, method: str = "product") -> Polynom
     if method == "product":
         if q ** (n - 1) > _PRODUCT_CAP:
             raise ProductTooLarge(f"q^(n-1) = {q ** (n - 1)} exceeds {_PRODUCT_CAP}")
-        acc = Polynomial.one(field, n)
-        for vec in product(range(q), repeat=n - 1):
-            form = Polynomial.variable(field, n, i)
-            for t, a in enumerate(vec):
-                if a:
-                    form = form + Polynomial.variable(field, n, t + 2).scale_raw(a)
-            acc = acc * form
-        return acc
+        return _span_product(field, n, i, range(2, n + 1))
     if method != "dickson_sum":
         raise UnknownMethod(f"unknown method {method!r}")
     if n == 1:
@@ -168,14 +173,7 @@ def o_prev(field: FieldSpec, n: int, i: int) -> Polynomial:
     q = field.q
     if q ** max(n - 2, 0) > _PRODUCT_CAP:
         raise ProductTooLarge(f"q^(n-2) = {q ** (n - 2)} exceeds {_PRODUCT_CAP}")
-    acc = Polynomial.one(field, n)
-    for vec in product(range(q), repeat=max(n - 2, 0)):
-        form = Polynomial.variable(field, n, i)
-        for t, a in enumerate(vec):
-            if a:
-                form = form + Polynomial.variable(field, n, t + 2).scale_raw(a)
-        acc = acc * form
-    return acc
+    return _span_product(field, n, i, range(2, n))
 
 
 def mui_det(field: FieldSpec, i_list, k: int = None) -> Polynomial:
@@ -249,7 +247,7 @@ def theorem_basis(field: FieldSpec, case: str, n: int):
     Ordered by (|I|, lex), with the constant 1 first.
     """
     if case not in ("sl", "gl"):
-        raise ValueError(f"case must be 'sl' or 'gl', got {case!r}")
+        raise UnknownCase(f"case must be 'sl' or 'gl', got {case!r}")
     out = [TensorElement.one(field, n)]
     extra = None
     if case == "gl":

@@ -45,6 +45,11 @@ class NotARawValue(FieldError):
     element of the field."""
 
 
+class NotAFieldValue(FqinvError, TypeError):
+    """A value of a type that cannot stand for a field value: neither an
+    int nor a FieldElement."""
+
+
 class DivisionByZero(FqinvError, ZeroDivisionError):
     pass
 
@@ -57,7 +62,7 @@ class FieldMismatch(FqinvError, ValueError):
 
 class ArityMismatch(FqinvError, ValueError):
     """Operands live in algebras with different variable counts, or a
-    tuple or matrix row has the wrong length."""
+    tuple, matrix row or coordinate list has the wrong length."""
 
 
 class IndexOutOfRange(FqinvError, IndexError):
@@ -110,7 +115,7 @@ class CapExceeded(FqinvError, RuntimeError):
 
 
 class UnknownCase(FqinvError, ValueError):
-    pass
+    """A case name that the case table, or theorem_basis, does not know."""
 
 
 class CaseFieldMismatch(FqinvError, ValueError):
@@ -122,6 +127,12 @@ class CaseFieldMismatch(FqinvError, ValueError):
 
 class FeasibilityCapExceeded(FqinvError, RuntimeError):
     """A degree component is too large for the brute-force solver."""
+
+
+class InvalidModuleDescription(FqinvError, ValueError):
+    """Free module degrees out of shape: a ring generator degree that is
+    not positive, an empty basis, a negative basis degree, or basis degree
+    0 more than once."""
 
 
 class NotApplicable(FqinvError, ValueError):

@@ -18,6 +18,7 @@ having no root in F_p, which make_field checks exhaustively.
 from __future__ import annotations
 
 from .errors import (
+    ArityMismatch,
     DivisionByZero,
     EvenCharacteristic,
     FieldMismatch,
@@ -239,7 +240,8 @@ class FieldSpec:
             return FieldElement(self, value % self.p)
         coeffs = list(value)
         if len(coeffs) > self.e:
-            raise ValueError("too many coordinates")
+            raise ArityMismatch(
+                f"{len(coeffs)} coordinates for {self!r}, which has {self.e}")
         coeffs += [0] * (self.e - len(coeffs))
         return FieldElement(self, self._raw_of(coeffs))
 

@@ -35,6 +35,7 @@ from .dickson import dickson_c, dickson_e, index_subsets, o_poly
 from .errors import (
     ArityTooSmall,
     FeasibilityCapExceeded,
+    InvalidModuleDescription,
     NegativeDegree,
     NotApplicable,
     NotInvariant,
@@ -511,13 +512,17 @@ class FreeModuleDescription:
                            tuple(self.algebra_gen_degrees))
         object.__setattr__(self, "basis_degrees", tuple(self.basis_degrees))
         if any(a <= 0 for a in self.algebra_gen_degrees):
-            raise ValueError("algebra generator degrees must be positive")
+            raise InvalidModuleDescription(
+                "algebra generator degrees must be positive")
         if not self.basis_degrees:
-            raise ValueError("basis degree list must be nonempty")
+            raise InvalidModuleDescription(
+                "basis degree list must be nonempty")
         if any(b < 0 for b in self.basis_degrees):
-            raise ValueError("basis degrees must be nonnegative")
+            raise InvalidModuleDescription(
+                "basis degrees must be nonnegative")
         if sum(1 for b in self.basis_degrees if b == 0) > 1:
-            raise ValueError("basis degree 0 may appear at most once")
+            raise InvalidModuleDescription(
+                "basis degree 0 may appear at most once")
 
 
 def hilbert_coeff(desc: FreeModuleDescription, d: int) -> int:

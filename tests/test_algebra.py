@@ -23,6 +23,7 @@ from fqinv.errors import (
     FieldMismatch,
     FqinvError,
     NegativeDegree,
+    NotAFieldValue,
     NotARawValue,
     NotDivisible,
     SerializationError,
@@ -215,6 +216,18 @@ def test_substitution_takes_raw_entries_unreduced():
 def test_entry_outside_the_raw_range_is_typed(bad):
     with pytest.raises(NotARawValue):
         x(F9, 2, 1).substitute_linear([[0, bad], [0, 1]])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Polynomial.constant(F3, 2, 1.5),
+    lambda: Polynomial(F9, 1, {(1,): "a"}),
+    lambda: x(F3, 2, 1).scale(None),
+    lambda: TensorElement.one(F9, 2).scale([1]),
+])
+def test_non_field_value_is_typed(build):
+    with pytest.raises(NotAFieldValue) as info:
+        build()
+    assert isinstance(info.value, TypeError)
 
 
 def test_action_composition_and_identity(rng):

@@ -1,5 +1,7 @@
 """Dickson classes, orbit products, and determinant forms."""
 
+from itertools import product
+
 import pytest
 
 from fqinv import (
@@ -22,14 +24,68 @@ from fqinv import (
     theorem_basis,
     top_form,
     transvection,
+    wilkerson_phi,
 )
-from fqinv.errors import IndexOutOfRange, ProductTooLarge, UnknownMethod
+from fqinv.errors import (
+    IndexOutOfRange,
+    ProductTooLarge,
+    UnknownCase,
+    UnknownMethod,
+)
 
-from conftest import F3, F5
+from conftest import ALL_FIELDS, F3, F5
 
 
 def x(field, n, i, power=1):
     return Polynomial.variable(field, n, i, power)
+
+
+def reference_span_product(field, N, lead, span):
+    """The brute product as one running product, left to right: the same
+    factors in the same order as the product routes, without grouping
+    them coset by coset."""
+    acc = Polynomial.one(field, N)
+    for vec in product(range(field.q), repeat=len(span)):
+        form = x(field, N, lead)
+        for t, a in zip(span, vec):
+            if a:
+                form = form + x(field, N, t).scale_raw(a)
+        acc = acc * form
+    return acc
+
+
+def product_shapes(field, max_factors):
+    """(label, route result, N, lead, span) for every f_poly / o_poly /
+    o_prev product route of at most max_factors factors."""
+    q = field.q
+    for n in range(1, 6):
+        if q ** n <= max_factors:
+            yield (f"f_poly({n})", f_poly(field, n, "product"),
+                   n + 1, n + 1, range(1, n + 1))
+        for i in range(1, n + 1):
+            if q ** (n - 1) <= max_factors:
+                yield (f"o_poly({n},{i})", o_poly(field, n, i),
+                       n, i, range(2, n + 1))
+            if q ** max(n - 2, 0) <= max_factors:
+                yield (f"o_prev({n},{i})", o_prev(field, n, i),
+                       n, i, range(2, n))
+
+
+@pytest.mark.parametrize("field", ALL_FIELDS, ids=repr)
+def test_span_product_matches_left_to_right_loop(field):
+    labels = set()
+    for label, got, N, lead, span in product_shapes(field, 27):
+        assert got == reference_span_product(field, N, lead, span), label
+        labels.add(label)
+    # one factor: o_prev at n = 2 is x_i itself
+    assert o_prev(field, 2, 2) == x(field, 2, 2)
+    # a zero factor x_i - x_i: o_poly with i >= 2 collapses to 0
+    assert o_poly(field, 2, 2).is_zero()
+    assert {"o_prev(2,1)", "o_prev(2,2)"} <= labels
+    if field.q <= 27:
+        assert "o_poly(2,2)" in labels
+    if field is F3:
+        assert {"f_poly(1)", "o_poly(4,4)", "o_prev(5,5)"} <= labels
 
 
 def test_top_class_values():
@@ -58,7 +114,8 @@ def test_coefficient_classes_small():
 
 
 def test_additive_span_polynomial_routes_agree():
-    for field, n in [(F3, 1), (F3, 2), (F3, 3), (F5, 1), (F5, 2)]:
+    for field, n in [(F3, 1), (F3, 2), (F3, 3), (F3, 4),
+                     (F5, 1), (F5, 2), (F5, 3)]:
         assert f_poly(field, n, "product") == f_poly(field, n)
     with pytest.raises(ValueError):
         f_poly(F3, 2, "nope")
@@ -78,6 +135,10 @@ def test_orbit_product_routes_agree():
     for n in (2, 3, 4):
         for i in range(1, n + 1):
             assert o_poly(F3, n, i) == o_poly(F3, n, i, "dickson_sum")
+    for field, n in [(F3, 5), (F5, 4)]:
+        assert o_poly(field, n, 1) == o_poly(field, n, 1, "dickson_sum")
+    # the orbit workload's witness: 125 factors against the Dickson sum
+    assert wilkerson_phi(F5, 4).ok
     with pytest.raises(ProductTooLarge):
         o_poly(F5, 5, 1)
     assert not o_poly(F5, 5, 1, "dickson_sum").is_zero()
@@ -103,6 +164,9 @@ def test_smaller_orbit_product():
     for a in range(3):
         expect = expect * (x(F3, 3, 1) + x(F3, 3, 2).scale_raw(a))
     assert o_prev(F3, 3, 1) == expect
+    # q^(n-2) = 625 factors
+    with pytest.raises(ProductTooLarge):
+        o_prev(F5, 6, 1)
 
 
 def test_determinant_form_small():
@@ -139,8 +203,9 @@ def test_module_generators_counts_and_degrees():
     assert [u.coh_degree() for u in basis] == [0, 2, 3, 7]
     basis = theorem_basis(F3, "gl", 2)
     assert [u.coh_degree() for u in basis] == [0, 10, 11, 15]
-    with pytest.raises(ValueError):
+    with pytest.raises(UnknownCase) as info:
         theorem_basis(F3, "b", 2)
+    assert isinstance(info.value, ValueError)
 
 
 def test_dickson_classes_are_invariant():

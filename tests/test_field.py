@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from fqinv import FieldElement, enumerate_elements, make_field
 from fqinv.errors import (
+    ArityMismatch,
     DivisionByZero,
     EvenCharacteristic,
     FieldTooLarge,
@@ -176,3 +177,11 @@ def test_mixed_field_operations_are_rejected():
 
     with pytest.raises(FieldMismatch):
         F3.element(1) + F9.element(1)
+
+
+def test_too_many_coordinates_is_typed():
+    assert F9.element([1, 2]).coeffs == (1, 2)
+    for field, coords in [(F3, [1, 1]), (F9, [1, 2, 0]), (F27, [0, 0, 0, 1])]:
+        with pytest.raises(ArityMismatch) as info:
+            field.element(coords)
+        assert isinstance(info.value, ValueError)

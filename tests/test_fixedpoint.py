@@ -39,6 +39,7 @@ from fqinv import algebra, fixedpoint
 from fqinv.errors import (
     ArityTooSmall,
     FeasibilityCapExceeded,
+    InvalidModuleDescription,
     NegativeDegree,
     NotApplicable,
     UnknownCase,
@@ -98,13 +99,14 @@ def test_series_against_power_series_oracle():
 
 
 def test_description_validation():
-    with pytest.raises(ValueError):
+    assert issubclass(InvalidModuleDescription, ValueError)
+    with pytest.raises(InvalidModuleDescription):
         FreeModuleDescription((0, 2), (0,))
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidModuleDescription):
         FreeModuleDescription((2,), ())
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidModuleDescription):
         FreeModuleDescription((2,), (0, 0))
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidModuleDescription):
         FreeModuleDescription((2,), (-1,))
 
 
