@@ -1,11 +1,12 @@
 """Shared fixtures: fields of each supported shape and seeded random
 builders for polynomials, tensor elements, and invertible matrices."""
 
+import hashlib
 import random
 
 import pytest
 
-from fqinv import Polynomial, TensorElement, make_field
+from fqinv import Polynomial, TensorElement, make_field, to_json
 
 F3 = make_field(3)
 F5 = make_field(5)
@@ -62,3 +63,15 @@ def random_invertible(rng, field, n, steps=6):
                        for _ in range(n)]
             g = g * diagonal(field, entries)
     return g
+
+
+def elements_digest(ring, basis):
+    """SHA-256 of the names and JSON forms of a case's elements, ring
+    generators first, so that a refactor of the element builders can be
+    checked for byte-identical output."""
+    h = hashlib.sha256()
+    for part in (ring, basis):
+        for name, el in part:
+            h.update(f"{name}\t{to_json(el)}\n".encode())
+        h.update(b"\n")
+    return h.hexdigest()

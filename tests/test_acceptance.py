@@ -62,9 +62,15 @@ from conftest import (
     F25,
     F27,
     F125,
+    elements_digest,
     random_invertible,
     random_tensor,
 )
+
+# elements_digest of case_elements("e8_5a") (18 MB of JSON), pinned here
+# because this criterion already builds those elements
+E8_5A_ELEMENTS_SHA256 = \
+    "d78941daa2b5d54dd4e9def0f8fb438bdc0584d36bce61e3b9eabe77c3d781b3"
 
 
 @contextmanager
@@ -294,6 +300,9 @@ def test_criterion_7_named_reflection_group_modules(capfd):
             case = parse_case(label)
             pres = case_group(case)
             ring, basis = case_elements(case)
+            if label == "e8_5a":
+                # names and JSON forms, as the per-kind builders made them
+                assert elements_digest(ring, basis) == E8_5A_ELEMENTS_SHA256
             for name, el in ring + basis:
                 assert is_invariant(el, pres), (label, name)
             desc = module_description(case)

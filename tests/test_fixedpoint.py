@@ -1,5 +1,7 @@
 """Fixed subspaces, module series, case parsing, and verification."""
 
+import hashlib
+import json
 import math
 from itertools import combinations
 
@@ -45,7 +47,7 @@ from fqinv.errors import (
     UnknownCase,
 )
 
-from conftest import F3, F5, F9
+from conftest import F3, F5, F9, elements_digest
 
 SETTINGS = settings(max_examples=30, deadline=None, derandomize=True,
                     database=None,
@@ -548,3 +550,54 @@ def test_verify_module_reports_inapplicable_product_check():
     assert rep.wilkerson is None
     assert rep.to_json_dict()["wilkerson"] == {"applicable": False}
     assert rep.ok
+
+
+# SHA-256 of verify_module(label, d).to_json_dict() as compact JSON, and of
+# the names and JSON forms of case_elements(label), pinned to the output of
+# the per-kind if-chains that the case table replaced
+VERIFY_SHA256 = [
+    ("sl(2,3)", 12,
+     "36a0a4f4f8879b99958ad62ef9fe3b0fcfe6b169bcc852c823b28a9c67edc2a5"),
+    ("gl(2,3)", 12,
+     "4f06e5fc6474547e22a171f41cc84984c77075c2f661fac2c044c0fef14b2aa9"),
+    ("sl(3,3)", 8,
+     "a7b3a53670d8576368e3569453b1f796c54a1e7f95ebd1353f257a218a0137fd"),
+    ("g0(3,3)", 8,
+     "23afd2434e1ea07c97fcd55c1d214f80f330459ec768686b6c5696bade115f02"),
+    ("parabolic(3,3)", 8,
+     "e857550d6a467d89c3cd461aee6eeef922c724d5f9f801574f2b54c5b323fa0a"),
+    ("f4_3", 8,
+     "bf056da4cecc3df073c248609ec436d4740d8199ca88c8776a8da138a6af510d"),
+    ("e8_p5_3", 8,
+     "585234e6a41e9305cbaaadeaf87ae154623dd74e049d127fec0a6ec401a150e4"),
+    ("e6_4", 8,
+     "d173dbd6b61c5f5e74f7f74141a447a50497e887ffd864877c9d251885000786"),
+    ("e7_4", 8,
+     "070dfc2ebae59145f83298a974df4558253b5e27d3cc1d4123e4a41ba3066524"),
+]
+
+ELEMENTS_SHA256 = {
+    "sl(2,3)": "e18c5f601bd4fb43e6c506e1d3aedcd77578e0ee58287a1ebc8bac0cf43d6261",
+    "gl(2,3)": "7ff079f02dde3e37a60f4f2f34aa0a5a75391230761e692ee5dc0dd21683d7f6",
+    "sl(3,3)": "08e81a1291ff529c61bff4334b30e2a8aa6fa24ea923f103417cc2824324b2aa",
+    "g0(3,3)": "7140379b58ff91a53b86bba18f3e4558bf0c81b842437152e8d88273a81a4497",
+    "parabolic(3,3)":
+        "46b85286e90ef3d8d6881886e3bd82aa535169cba90f961f14d902c7e6b738d0",
+    "f4_3": "2e94d71162546f283ce2e841b871fc49988a624ba402e9bf037971d7fddb7099",
+    "e8_p5_3": "add4e5a47569294241a41833b56ec99e7238a1606fbffc22df8aafb02d1f0c15",
+    "e6_4": "40e9bfc8da3046d98c045455654f3e7df5a6276b624445c7ebd55e3d0714a4d4",
+    "e7_4": "cc1b0d16b232975501634a13d38a868e360bbcbf0caf316caae84f553fe57439",
+}
+
+
+@pytest.mark.parametrize("label, d, sha256", VERIFY_SHA256,
+                         ids=[label for label, _, _ in VERIFY_SHA256])
+def test_verify_module_output_is_pinned(label, d, sha256):
+    text = json.dumps(verify_module(label, d).to_json_dict(),
+                      separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == sha256
+
+
+@pytest.mark.parametrize("label", ELEMENTS_SHA256)
+def test_case_elements_are_pinned(label):
+    assert elements_digest(*case_elements(label)) == ELEMENTS_SHA256[label]
