@@ -16,7 +16,7 @@ from .algebra import TensorElement, from_json, pretty, pretty_polynomial, to_jso
 from .dickson import dickson_c, dickson_e, mui_bracket, mui_q, o_poly
 from .errors import CaseFieldMismatch, FqinvError, IndexOutOfRange
 from .field import make_field
-from .fixedpoint import _NAMED_CASES, case_group, fixed_dim, parse_case, verify_module
+from .fixedpoint import _KINDS, case_group, fixed_dim, parse_case, verify_module
 from .groups import act, group_order_bfs
 
 
@@ -175,7 +175,7 @@ def _cmd_act(args):
         raise IndexOutOfRange(
             f"generator index {k} out of range, case {case.label} has "
             f"{len(group.generators)} generators")
-    var = "t" if case.kind in _NAMED_CASES else "x"
+    var = _KINDS[case.kind].var
     _emit_element(args, act(group.generators[k], u), var)
     return 0
 
@@ -244,9 +244,11 @@ def _build_parser():
         "verify",
         help="compare fixed-space dimensions with the predicted module "
              "series for a case label")
+    families = [f"{kind}(n,q)" for kind, row in _KINDS.items() if row.q is None]
+    named = [kind for kind, row in _KINDS.items() if row.q is not None]
     v.add_argument("--case", required=True,
-                   help="sl(n,q), gl(n,q), g0(n,q), parabolic(n,q) with "
-                        "prime q, or f4_3, e6_4, e7_4, e8_5a, e8_p5_3")
+                   help=f"{', '.join(families)} with prime q, or "
+                        f"{', '.join(named)}")
     v.add_argument("--max-degree", type=int, default=None,
                    help="verify total degrees 0..D (default: case schedule)")
     _add_output_options(v)

@@ -13,25 +13,29 @@ that kernel down one at a time by an exact dense elimination over F_q,
 from action columns built per block: the image of x^a dx_J is the
 product of the images of x^a and of dx_J, each computed once.
 
-A registry of named cases ties a group presentation to the free-module
-shape of its invariant ring (polynomial generator degrees plus module
-basis degrees), to explicitly constructed generator and basis elements,
-and to a degree-product criterion on the polynomial part.
+The case table has one row per case kind.  A row ties the kind's group
+presentation to the free-module shape of its invariant ring (polynomial
+generator degrees plus module basis degrees, by formula), to explicitly
+constructed generator and basis elements, to a degree cap, and to whether
+the degree-product criterion and the integrality witness apply.  Named
+kinds that are a family case under another name (f4_3 is sl(3,3), e6_4
+shares the degrees and elements of parabolic(4,3)) reuse that row.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import combinations
+from typing import Callable
 
 import numpy as np
 
 from . import algebra
 from .algebra import Polynomial, TensorElement
-from .dickson import dickson_c, dickson_e, index_subsets, o_poly
+from .dickson import dickson_c, dickson_e, index_subsets, o_poly, theorem_basis
 from .errors import (
     ArityTooSmall,
     FeasibilityCapExceeded,
@@ -42,7 +46,14 @@ from .errors import (
     UnknownCase,
 )
 from .field import FieldSpec, make_field
-from .groups import GroupPresentation, gens_case, gens_standard, is_invariant
+from .groups import (
+    GroupPresentation,
+    _parabolic,
+    _translations,
+    _weyl,
+    gens_standard,
+    is_invariant,
+)
 from .milnor import milnor_composite
 
 BASIS_CAP = 2 * 10 ** 5
@@ -108,19 +119,17 @@ def _tables(field):
     return tabs
 
 
-def _nullspace(a, field):
-    """Kernel basis of the int64 array a over F_q; columns of the result,
-    int64.  Eliminates in a itself, which it overwrites."""
+def _eliminate(a, field):
+    """Reduced row echelon form of the int64 array a over F_q, computed in
+    a itself; returns the pivot columns, one per leading nonzero row."""
     m, k = a.shape
-    if m == 0 or k == 0:
-        return np.eye(k, dtype=np.int64)
     prime = field.e == 1
     p = field.p
     if not prime:
-        add, sub, mul, inv_t = _tables(field)
+        _, sub, mul, inv_t = _tables(field)
     pivots = []
-    row = 0
     for col in range(k):
+        row = len(pivots)
         if row == m:
             break
         nz = np.nonzero(a[row:, col])[0]
@@ -131,20 +140,28 @@ def _nullspace(a, field):
             a[[row, r0]] = a[[r0, row]]
         if prime:
             a[row] = (a[row] * pow(int(a[row, col]), p - 2, p)) % p
-            factors = a[:, col].copy()
-            factors[row] = 0
-            hit = np.nonzero(factors)[0]
-            if hit.size:
-                a[hit] = (a[hit] - np.outer(factors[hit], a[row])) % p
         else:
             a[row] = mul[inv_t[a[row, col]], a[row]]
-            factors = a[:, col].copy()
-            factors[row] = 0
-            hit = np.nonzero(factors)[0]
-            if hit.size:
+        factors = a[:, col].copy()
+        factors[row] = 0
+        hit = np.nonzero(factors)[0]
+        if hit.size:
+            if prime:
+                a[hit] = (a[hit] - np.outer(factors[hit], a[row])) % p
+            else:
                 a[hit] = sub[a[hit], mul[factors[hit][:, None], a[row][None, :]]]
         pivots.append(col)
-        row += 1
+    return pivots
+
+
+def _nullspace(a, field):
+    """Kernel basis of the int64 array a over F_q; columns of the result,
+    int64.  Eliminates in a itself, which it overwrites."""
+    m, k = a.shape
+    if m == 0 or k == 0:
+        return np.eye(k, dtype=np.int64)
+    pivots = _eliminate(a, field)
+    prime, p = field.e == 1, field.p
     pivot_set = set(pivots)
     free = [c for c in range(k) if c not in pivot_set]
     out = np.zeros((k, len(free)), dtype=np.int64)
@@ -186,37 +203,7 @@ def _rref_rows(rows, field):
     a = np.array(rows, dtype=np.int64)
     if a.size == 0:
         return a
-    m, width = a.shape
-    prime = field.e == 1
-    p = field.p
-    if not prime:
-        add, sub, mul, inv_t = _tables(field)
-    row = 0
-    for col in range(width):
-        if row == m:
-            break
-        nz = np.nonzero(a[row:, col])[0]
-        if nz.size == 0:
-            continue
-        r0 = row + nz[0]
-        if r0 != row:
-            a[[row, r0]] = a[[r0, row]]
-        if prime:
-            a[row] = (a[row] * pow(int(a[row, col]), p - 2, p)) % p
-            factors = a[:, col].copy()
-            factors[row] = 0
-            hit = np.nonzero(factors)[0]
-            if hit.size:
-                a[hit] = (a[hit] - np.outer(factors[hit], a[row])) % p
-        else:
-            a[row] = mul[inv_t[a[row, col]], a[row]]
-            factors = a[:, col].copy()
-            factors[row] = 0
-            hit = np.nonzero(factors)[0]
-            if hit.size:
-                a[hit] = sub[a[hit], mul[factors[hit][:, None], a[row][None, :]]]
-        row += 1
-    return a[:row]
+    return a[:len(_eliminate(a, field))]
 
 
 # -- per-block solver --------------------------------------------------------
@@ -537,11 +524,7 @@ def hilbert_coeff(desc: FreeModuleDescription, d: int) -> int:
     return sum(ring[d - b] for b in desc.basis_degrees if b <= d)
 
 
-# -- case registry -----------------------------------------------------------
-
-_NAMED_CASES = ("e8_p5_3", "f4_3", "e6_4", "e7_4", "e8_5a")
-_CASE_RE = re.compile(r"^(sl|gl|g0|parabolic)\((\d+),(\d+)\)$")
-
+# -- case table --------------------------------------------------------------
 
 @dataclass(frozen=True)
 class Case:
@@ -553,41 +536,6 @@ class Case:
     n: int
 
 
-def parse_case(text: str) -> Case:
-    """Parse a case label: sl(n,q), gl(n,q), g0(n,q), parabolic(n,q) with
-    prime q, or one of the named reflection-group cases."""
-    label = text.strip().replace(" ", "")
-    if label in _NAMED_CASES:
-        pres = gens_case(label)
-        return Case(label, label, pres.field, pres.n)
-    m = _CASE_RE.match(label)
-    if not m:
-        raise UnknownCase(f"unknown case {text!r}")
-    kind, n, q = m.group(1), int(m.group(2)), int(m.group(3))
-    try:
-        field = make_field(q)
-    except Exception as exc:
-        raise UnknownCase(
-            f"case labels take a prime q, got {q}; build extension-field "
-            f"presentations with gens_standard") from exc
-    if n < 1 or (kind in ("g0", "parabolic") and n < 2):
-        raise UnknownCase(f"case {text!r}: size out of range")
-    return Case(label, kind, field, n)
-
-
-def _as_case(case) -> Case:
-    return case if isinstance(case, Case) else parse_case(case)
-
-
-def case_group(case) -> GroupPresentation:
-    c = _as_case(case)
-    if c.kind in ("sl", "gl"):
-        return gens_standard(c.kind, c.n, c.field)
-    if c.kind in ("g0", "parabolic"):
-        return gens_case(c.kind, c.field, c.n)
-    return gens_case(c.kind)
-
-
 def _deg_e(n, q):
     return 2 * (q ** n - 1) // (q - 1)
 
@@ -596,61 +544,10 @@ def _deg_c(n, i, q):
     return 2 * (q ** n - q ** i)
 
 
-def _q_jump(I, q):
-    return sum(2 * q ** i - 1 for i in I)
-
-
-def _subset_name(I):
-    return ",".join(str(i) for i in I)
-
-
-def module_description(case) -> FreeModuleDescription:
-    """Free-module shape of the invariant ring of a registered case."""
-    c = _as_case(case)
-    q = c.field.q
-    n = c.n
-    if c.kind == "sl":
-        alg = [_deg_e(n, q)] + [_deg_c(n, i, q) for i in range(1, n)]
-        bas = [0] + [n + _q_jump(I, q) for I in index_subsets(n, n - 1)]
-        return FreeModuleDescription(alg, bas)
-    if c.kind == "gl":
-        alg = [_deg_c(n, i, q) for i in range(n)]
-        shift = (q - 2) * _deg_e(n, q)
-        bas = [0] + [shift + n + _q_jump(I, q) for I in index_subsets(n, n - 1)]
-        return FreeModuleDescription(alg, bas)
-    if c.kind == "g0":
-        alg = [2 * q ** (n - 1)] + [2] * (n - 1)
-        bas = ([n + _q_jump(I, q) for I in index_subsets(n - 1)]
-               + [len(J) for J in index_subsets(n - 1)])
-        return FreeModuleDescription(alg, bas)
-    if c.kind == "parabolic":
-        alg = ([2 * q ** (n - 1), _deg_e(n - 1, q)]
-               + [_deg_c(n - 1, i, q) for i in range(1, n - 1)])
-        bas = ([0] + [(n - 1) + _q_jump(I, q)
-                      for I in index_subsets(n - 1, n - 2)]
-               + [n + _q_jump(J, q) for J in index_subsets(n - 1)])
-        return FreeModuleDescription(alg, bas)
-    if c.kind in ("e8_p5_3", "f4_3"):
-        alg = [_deg_e(3, q), _deg_c(3, 2, q), _deg_c(3, 1, q)]
-        bas = [0] + [3 + _q_jump(I, q) for I in index_subsets(3, 2)]
-        return FreeModuleDescription(alg, bas)
-    if c.kind == "e6_4":
-        alg = [_deg_e(3, 3), _deg_c(3, 2, 3), _deg_c(3, 1, 3), 54]
-        bas = ([0] + [3 + _q_jump(I, 3) for I in index_subsets(3, 2)]
-               + [4 + _q_jump(J, 3) for J in index_subsets(3)])
-        return FreeModuleDescription(alg, bas)
-    if c.kind == "e7_4":
-        alg = [_deg_e(3, 3), _deg_c(3, 2, 3), _deg_c(3, 1, 3), 108]
-        bas = ([0] + [3 + _q_jump(I, 3) for I in index_subsets(3, 2)]
-               + [58 + _q_jump(J, 3) for J in index_subsets(3)])
-        return FreeModuleDescription(alg, bas)
-    if c.kind == "e8_5a":
-        alg = [4, _deg_e(3, 3), _deg_c(3, 2, 3), _deg_c(3, 1, 3), 324]
-        bas = ([0] + [3 + _q_jump(I, 3) for I in index_subsets(3, 2)]
-               + [3] + [6 + _q_jump(I, 3) for I in index_subsets(3, 2)]
-               + [169 + _q_jump(J, 3) for J in index_subsets(4)])
-        return FreeModuleDescription(alg, bas)
-    raise UnknownCase(f"unknown case kind {c.kind!r}")
+def _q_degrees(q, length, subsets):
+    """Degrees of the classes Q_I(w), I in subsets, of a word of degree
+    `length`."""
+    return [length + sum(2 * q ** i - 1 for i in I) for I in subsets]
 
 
 def _poly_el(poly):
@@ -662,114 +559,234 @@ def _shift(poly, n, offset):
     return poly.map_variables(n, mapping)
 
 
-def _sub_dickson(field, size, which, i, n):
-    """Dickson invariant of the block variables x_2..x_{size+1}."""
-    base = dickson_e(field, size) if which == "e" else dickson_c(field, size, i)
-    return _shift(base, n, 1)
+def _block_ring(field, size, n):
+    """e and c_i, i = 1..size-1, of the block variables x_2..x_{size+1},
+    named, as polynomials in n variables."""
+    on = f"(x2..x{size + 1})"
+    ring = [(f"e{size}{on}", dickson_e(field, size))]
+    ring += [(f"c{size},{i}{on}", dickson_c(field, size, i))
+             for i in range(1, size)]
+    return [(name, _poly_el(_shift(poly, n, 1))) for name, poly in ring]
+
+
+def _q_names(indices, subsets):
+    tag = "".join(f"dx{i}" for i in indices)
+    return [f"Q[{','.join(map(str, I))}]({tag})" if I else tag for I in subsets]
 
 
 def _q_basis(field, n, indices, subsets):
     """Named Q-composites of the wedge of the listed dx indices."""
     word = TensorElement.dx(field, n, indices)
-    out = []
-    tag = "".join(f"dx{i}" for i in indices)
-    for I in subsets:
-        el = milnor_composite(I, word)
-        name = f"Q[{_subset_name(I)}]({tag})" if I else tag
-        out.append((name, el))
-    return out
+    return [(name, milnor_composite(I, word))
+            for name, I in zip(_q_names(indices, subsets), subsets)]
+
+
+def _mui_basis(field, n, kind, prefix):
+    """theorem_basis, named: 1, then prefix + Q_I(dx1..dxn)."""
+    names = _q_names(range(1, n + 1), index_subsets(n, n - 1))
+    return list(zip(["1"] + [prefix + name for name in names],
+                    theorem_basis(field, kind, n)))
+
+
+def _sl_elements(field, n):
+    ring = [(f"e{n}", _poly_el(dickson_e(field, n)))]
+    ring += [(f"c{n},{i}", _poly_el(dickson_c(field, n, i)))
+             for i in range(1, n)]
+    return ring, _mui_basis(field, n, "sl", "")
+
+
+def _gl_elements(field, n):
+    ring = [(f"c{n},{i}", _poly_el(dickson_c(field, n, i))) for i in range(n)]
+    return ring, _mui_basis(field, n, "gl", f"e{n}^{field.q - 2}*")
+
+
+def _g0_elements(field, n):
+    ring = [("O(x1)", _poly_el(o_poly(field, n, 1, "dickson_sum")))]
+    ring += [(f"x{i}", _poly_el(Polynomial.variable(field, n, i)))
+             for i in range(2, n + 1)]
+    basis = _q_basis(field, n, tuple(range(1, n + 1)), index_subsets(n - 1))
+    for J in index_subsets(n - 1):
+        indices = tuple(j + 2 for j in J)
+        name = "".join(f"dx{i}" for i in indices) if indices else "1"
+        basis.append((name, TensorElement.dx(field, n, indices)))
+    return ring, basis
+
+
+def _parabolic_elements(field, n):
+    ring = [("O(x1)", _poly_el(o_poly(field, n, 1, "dickson_sum")))]
+    ring += _block_ring(field, n - 1, n)
+    basis = [("1", TensorElement.one(field, n))]
+    basis += _q_basis(field, n, tuple(range(2, n + 1)),
+                      index_subsets(n - 1, n - 2))
+    basis += _q_basis(field, n, tuple(range(1, n + 1)), index_subsets(n - 1))
+    return ring, basis
+
+
+def _e7_4_elements(field, n):
+    """e6_4's elements with O(x1)^2 in place of O(x1), and O(x1) times
+    each class Q_I(dx1..dx4)."""
+    ring, basis = _KINDS["e6_4"].elements(field, n)
+    orb = ring[-1][1]
+    top = len(index_subsets(n - 1))
+    return (ring[:-1] + [("O(x1)^2", orb * orb)],
+            basis[:-top] + [(f"O(x1)*{name}", orb * el)
+                            for name, el in basis[-top:]])
+
+
+def _e8_5a_elements(field, n):
+    orb = o_poly(field, n, 1, "dickson_sum")
+    x5 = Polynomial.variable(field, n, 5)
+    e3, c31, c32 = _block_ring(field, 3, n)
+    ring = [("x5^2", _poly_el(x5 * x5)), e3, c32, c31,
+            ("O(x1)^2", _poly_el(orb * orb))]
+    w5 = x5 * TensorElement.dx(field, n, (5,))
+    basis = [("1", TensorElement.one(field, n))]
+    inner = _q_basis(field, n, (2, 3, 4), index_subsets(3, 2))
+    basis += inner
+    basis.append(("x5*dx5", w5))
+    basis += [(f"{name}*x5*dx5", el * w5) for name, el in inner]
+    for name, el in _q_basis(field, n, (1, 2, 3, 4, 5), index_subsets(4)):
+        basis.append((f"x5*O(x1)*{name}", (x5 * orb) * el))
+    return ring, basis
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """One row of the case table.  A family row (q is None) takes its field
+    and size from the label kind(n,q); a named row fixes both.  Every entry
+    is a function or a constant, so the table builds nothing at import."""
+
+    gens: Callable          # (field, n) -> GroupPresentation
+    degrees: Callable       # (q, n) -> (ring degrees, module basis degrees)
+    elements: Callable      # (field, n) -> (ring, basis) named elements
+    cap: Callable           # n -> largest degree verify_module attempts
+    q: int = None
+    n: int = None
+    min_n: int = 1
+    standard: bool = False  # built by gens_standard, not by gens_case
+    witness: bool = False   # integrality witness of the orbit product
+    product: bool = True    # degree-product criterion applies
+    var: str = "x"          # variable name of `act --pretty`
+
+
+def _reordered(base, order, **row):
+    """A named kind that is the family `base` at one (q, n) with its ring
+    generators listed in `order`; `row` sets q, n and what else differs."""
+    def pick(pair):
+        ring, basis = pair
+        return [ring[i] for i in order], basis
+
+    inherited = dict(gens=base.gens, cap=base.cap, witness=base.witness,
+                     degrees=lambda q, n: pick(base.degrees(q, n)),
+                     elements=lambda field, n: pick(base.elements(field, n)))
+    return _Kind(**(inherited | row))
+
+
+_KINDS = {"sl": _Kind(
+    gens=lambda field, n: gens_standard("sl", n, field),
+    degrees=lambda q, n: (
+        [_deg_e(n, q)] + [_deg_c(n, i, q) for i in range(1, n)],
+        [0] + _q_degrees(q, n, index_subsets(n, n - 1))),
+    elements=_sl_elements,
+    cap=lambda n: 40 if n <= 2 else (30 if n == 3 else 12), standard=True)}
+_KINDS["gl"] = replace(
+    _KINDS["sl"], gens=lambda field, n: gens_standard("gl", n, field),
+    degrees=lambda q, n: (
+        [_deg_c(n, i, q) for i in range(n)],
+        [0] + _q_degrees(q, (q - 2) * _deg_e(n, q) + n,
+                         index_subsets(n, n - 1))),
+    elements=_gl_elements)
+_KINDS["g0"] = _Kind(
+    gens=_translations,
+    degrees=lambda q, n: (
+        [2 * q ** (n - 1)] + [2] * (n - 1),
+        _q_degrees(q, n, index_subsets(n - 1))
+        + [len(J) for J in index_subsets(n - 1)]),
+    elements=_g0_elements,
+    cap=lambda n: 20 if n <= 3 else 12, min_n=2, witness=True)
+_KINDS["parabolic"] = replace(
+    _KINDS["g0"], gens=_parabolic,
+    degrees=lambda q, n: (
+        [2 * q ** (n - 1), _deg_e(n - 1, q)]
+        + [_deg_c(n - 1, i, q) for i in range(1, n - 1)],
+        [0] + _q_degrees(q, n - 1, index_subsets(n - 1, n - 2))
+        + _q_degrees(q, n, index_subsets(n - 1))),
+    elements=_parabolic_elements)
+_KINDS["f4_3"] = _reordered(_KINDS["sl"], (0, 2, 1), q=3, n=3, var="t")
+_KINDS["e6_4"] = _reordered(
+    _KINDS["parabolic"], (1, 3, 2, 0), q=3, n=4, var="t",
+    gens=lambda field, n: _weyl(field, n, ()), cap=lambda n: 24)
+_KINDS["e7_4"] = _Kind(
+    gens=lambda field, n: _weyl(field, n, (1,)),
+    degrees=lambda q, n: (
+        [_deg_e(3, 3), _deg_c(3, 2, 3), _deg_c(3, 1, 3), 108],
+        [0] + _q_degrees(3, 3, index_subsets(3, 2))
+        + _q_degrees(3, 58, index_subsets(3))),
+    elements=_e7_4_elements, cap=lambda n: 24, q=3, n=4, var="t")
+_KINDS["e8_5a"] = _Kind(
+    gens=lambda field, n: _weyl(field, n, (1, 5)),
+    degrees=lambda q, n: (
+        [4, _deg_e(3, 3), _deg_c(3, 2, 3), _deg_c(3, 1, 3), 324],
+        [0] + _q_degrees(3, 3, index_subsets(3, 2))
+        + [3] + _q_degrees(3, 6, index_subsets(3, 2))
+        + _q_degrees(3, 169, index_subsets(4))),
+    elements=_e8_5a_elements, cap=lambda n: 12, q=3, n=5, product=False,
+    var="t")
+_KINDS["e8_p5_3"] = _reordered(_KINDS["sl"], (0, 2, 1), q=5, n=3, var="t")
+
+_LABEL_RE = re.compile(r"^(\w+)\((\d+),(\d+)\)$")
+
+
+def _kind(kind) -> _Kind:
+    row = _KINDS.get(kind)
+    if row is None:
+        raise UnknownCase(f"unknown case kind {kind!r}")
+    return row
+
+
+def parse_case(text: str) -> Case:
+    """Parse a case label: kind(n,q) with prime q for a family row of the
+    case table, or the name of a named row."""
+    label = text.strip().replace(" ", "")
+    m = _LABEL_RE.match(label)
+    kind = m.group(1) if m else label
+    row = _KINDS.get(kind)
+    if row is None or (row.q is None) != bool(m):
+        raise UnknownCase(f"unknown case {text!r}")
+    if row.q is not None:
+        return Case(label, kind, make_field(row.q), row.n)
+    n, q = int(m.group(2)), int(m.group(3))
+    try:
+        field = make_field(q)
+    except Exception as exc:
+        raise UnknownCase(
+            f"case labels take a prime q, got {q}; build extension-field "
+            f"presentations with gens_standard") from exc
+    if n < row.min_n:
+        raise UnknownCase(f"case {text!r}: size out of range")
+    return Case(label, kind, field, n)
+
+
+def _as_case(case) -> Case:
+    return case if isinstance(case, Case) else parse_case(case)
+
+
+def case_group(case) -> GroupPresentation:
+    """The case's generators and order, labelled by its kind."""
+    c = _as_case(case)
+    return replace(_kind(c.kind).gens(c.field, c.n), label=c.kind)
+
+
+def module_description(case) -> FreeModuleDescription:
+    """Free-module shape of the invariant ring of a registered case."""
+    c = _as_case(case)
+    return FreeModuleDescription(*_kind(c.kind).degrees(c.field.q, c.n))
 
 
 @lru_cache(maxsize=None)
 def _case_elements_cached(label):
     c = parse_case(label)
-    field, n, q = c.field, c.n, c.field.q
-    if c.kind == "sl":
-        ring = [(f"e{n}", _poly_el(dickson_e(field, n)))]
-        ring += [(f"c{n},{i}", _poly_el(dickson_c(field, n, i)))
-                 for i in range(1, n)]
-        basis = [("1", TensorElement.one(field, n))]
-        basis += _q_basis(field, n, tuple(range(1, n + 1)),
-                          index_subsets(n, n - 1))
-        return ring, basis
-    if c.kind == "gl":
-        ring = [(f"c{n},{i}", _poly_el(dickson_c(field, n, i)))
-                for i in range(n)]
-        extra = dickson_e(field, n) ** (q - 2)
-        basis = [("1", TensorElement.one(field, n))]
-        for name, el in _q_basis(field, n, tuple(range(1, n + 1)),
-                                 index_subsets(n, n - 1)):
-            basis.append((f"e{n}^{q - 2}*{name}", extra * el))
-        return ring, basis
-    if c.kind == "g0":
-        ring = [("O(x1)", _poly_el(o_poly(field, n, 1, "dickson_sum")))]
-        ring += [(f"x{i}", _poly_el(Polynomial.variable(field, n, i)))
-                 for i in range(2, n + 1)]
-        basis = _q_basis(field, n, tuple(range(1, n + 1)),
-                         index_subsets(n - 1))
-        for J in index_subsets(n - 1):
-            indices = tuple(j + 2 for j in J)
-            name = "".join(f"dx{i}" for i in indices) if indices else "1"
-            basis.append((name, TensorElement.dx(field, n, indices)))
-        return ring, basis
-    if c.kind == "parabolic":
-        ring = [("O(x1)", _poly_el(o_poly(field, n, 1, "dickson_sum"))),
-                (f"e{n - 1}(x2..x{n})",
-                 _poly_el(_sub_dickson(field, n - 1, "e", 0, n)))]
-        ring += [(f"c{n - 1},{i}(x2..x{n})",
-                  _poly_el(_sub_dickson(field, n - 1, "c", i, n)))
-                 for i in range(1, n - 1)]
-        basis = [("1", TensorElement.one(field, n))]
-        basis += _q_basis(field, n, tuple(range(2, n + 1)),
-                          index_subsets(n - 1, n - 2))
-        basis += _q_basis(field, n, tuple(range(1, n + 1)),
-                          index_subsets(n - 1))
-        return ring, basis
-    if c.kind in ("e8_p5_3", "f4_3"):
-        ring = [("e3", _poly_el(dickson_e(field, 3))),
-                ("c3,2", _poly_el(dickson_c(field, 3, 2))),
-                ("c3,1", _poly_el(dickson_c(field, 3, 1)))]
-        basis = [("1", TensorElement.one(field, 3))]
-        basis += _q_basis(field, 3, (1, 2, 3), index_subsets(3, 2))
-        return ring, basis
-    if c.kind == "e6_4":
-        ring = [("e3(x2..x4)", _poly_el(_sub_dickson(field, 3, "e", 0, 4))),
-                ("c3,2(x2..x4)", _poly_el(_sub_dickson(field, 3, "c", 2, 4))),
-                ("c3,1(x2..x4)", _poly_el(_sub_dickson(field, 3, "c", 1, 4))),
-                ("O(x1)", _poly_el(o_poly(field, 4, 1, "dickson_sum")))]
-        basis = [("1", TensorElement.one(field, 4))]
-        basis += _q_basis(field, 4, (2, 3, 4), index_subsets(3, 2))
-        basis += _q_basis(field, 4, (1, 2, 3, 4), index_subsets(3))
-        return ring, basis
-    if c.kind == "e7_4":
-        orb = o_poly(field, 4, 1, "dickson_sum")
-        ring = [("e3(x2..x4)", _poly_el(_sub_dickson(field, 3, "e", 0, 4))),
-                ("c3,2(x2..x4)", _poly_el(_sub_dickson(field, 3, "c", 2, 4))),
-                ("c3,1(x2..x4)", _poly_el(_sub_dickson(field, 3, "c", 1, 4))),
-                ("O(x1)^2", _poly_el(orb * orb))]
-        basis = [("1", TensorElement.one(field, 4))]
-        basis += _q_basis(field, 4, (2, 3, 4), index_subsets(3, 2))
-        for name, el in _q_basis(field, 4, (1, 2, 3, 4), index_subsets(3)):
-            basis.append((f"O(x1)*{name}", orb * el))
-        return ring, basis
-    if c.kind == "e8_5a":
-        orb = o_poly(field, 5, 1, "dickson_sum")
-        x5 = Polynomial.variable(field, 5, 5)
-        ring = [("x5^2", _poly_el(x5 * x5)),
-                ("e3(x2..x4)", _poly_el(_sub_dickson(field, 3, "e", 0, 5))),
-                ("c3,2(x2..x4)", _poly_el(_sub_dickson(field, 3, "c", 2, 5))),
-                ("c3,1(x2..x4)", _poly_el(_sub_dickson(field, 3, "c", 1, 5))),
-                ("O(x1)^2", _poly_el(orb * orb))]
-        w5 = x5 * TensorElement.dx(field, 5, (5,))
-        basis = [("1", TensorElement.one(field, 5))]
-        inner = _q_basis(field, 5, (2, 3, 4), index_subsets(3, 2))
-        basis += inner
-        basis.append(("x5*dx5", w5))
-        basis += [(f"{name}*x5*dx5", el * w5) for name, el in inner]
-        for name, el in _q_basis(field, 5, (1, 2, 3, 4, 5), index_subsets(4)):
-            basis.append((f"x5*O(x1)*{name}", (x5 * orb) * el))
-        return ring, basis
-    raise UnknownCase(f"unknown case kind {c.kind!r}")
+    return _kind(c.kind).elements(c.field, c.n)
 
 
 def case_elements(case):
@@ -781,15 +798,7 @@ def case_elements(case):
 def degree_cap(case) -> int:
     """Largest degree verify_module will attempt for the case."""
     c = _as_case(case)
-    if c.kind in ("sl", "gl"):
-        return 40 if c.n <= 2 else (30 if c.n == 3 else 12)
-    if c.kind in ("g0", "parabolic"):
-        return 20 if c.n <= 3 else 12
-    if c.kind in ("e8_p5_3", "f4_3"):
-        return 30
-    if c.kind in ("e6_4", "e7_4"):
-        return 24
-    return 12
+    return _kind(c.kind).cap(c.n)
 
 
 # -- degree-product criterion ------------------------------------------------
@@ -870,16 +879,14 @@ class WilkersonReport:
         return data
 
 
-_PHI_KINDS = ("g0", "parabolic", "e6_4")
-
-
 def wilkerson_check(case) -> WilkersonReport:
     """Product of polynomial generator degrees against the group order,
     plus the integrality witness for cases generated by an orbit product."""
     c = _as_case(case)
-    if c.kind == "e8_5a":
+    row = _kind(c.kind)
+    if not row.product:
         raise NotApplicable(
-            "case e8_5a is outside the degree-product criterion; "
+            f"case {c.label} is outside the degree-product criterion; "
             "module_description carries its polynomial subring data")
     desc = module_description(c)
     half = []
@@ -890,7 +897,7 @@ def wilkerson_check(case) -> WilkersonReport:
         half.append(deg // 2)
     product = math.prod(half)
     group = case_group(c)
-    phi = wilkerson_phi(c.field, c.n) if c.kind in _PHI_KINDS else None
+    phi = wilkerson_phi(c.field, c.n) if row.witness else None
     return WilkersonReport(c.label, tuple(half), product, group.order, phi)
 
 

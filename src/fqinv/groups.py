@@ -2,9 +2,10 @@
 
 A GroupMatrix stores its entries (raw field values, row tuples) plus the
 lazily computed inverse, which is what the contragredient action needs.
-Generator registries cover the standard special/general linear families
-and the named reflection-group cases; breadth-first closure provides an
-independent order count for everything of modest size.
+gens_standard builds the special/general linear families; the other case
+kinds are rows of the case table in fixedpoint, whose generator builders
+live here.  Breadth-first closure provides an independent order count for
+everything of modest size.
 """
 
 from __future__ import annotations
@@ -222,74 +223,64 @@ def _sl3_pair(field):
     return t, c
 
 
-_F3 = make_field(3)
-_F5 = make_field(5)
+def _upper_row(field, n, scalars):
+    """The translations x_1 -> x_1 + w x_j, j = 2..n, for each scalar w."""
+    return [transvection(field, n, 1, j, w)
+            for j in range(2, n + 1) for w in scalars]
 
-_CASE_FIELDS = {
-    "e8_p5_3": _F5,
-    "f4_3": _F3,
-    "e6_4": _F3,
-    "e7_4": _F3,
-    "e8_5a": _F3,
-}
 
-_CASE_N = {"e8_p5_3": 3, "f4_3": 3, "e6_4": 4, "e7_4": 4, "e8_5a": 5}
+def _translations(field, n):
+    """g0: the upper-row translations by span(x_2..x_n)."""
+    gens = _upper_row(field, n, _omega_powers(field))
+    return GroupPresentation("g0", n, field, tuple(gens), field.q ** (n - 1))
+
+
+def _parabolic(field, n):
+    """The translations extended by a special linear block on x_2..x_n."""
+    block = gens_standard("sl", n - 1, field)
+    gens = _upper_row(field, n, _omega_powers(field))
+    gens += [_embed(field, n, 1, g) for g in block.generators]
+    order = field.q ** (n - 1) * block.order
+    return GroupPresentation("parabolic", n, field, tuple(gens), order)
+
+
+def _weyl(field, n, reflections):
+    """The upper row over the SL_3 pair on x_2..x_4, then one diagonal
+    reflection x_i -> -x_i for each listed i."""
+    gens = _upper_row(field, n, [1])
+    gens += [_embed(field, n, 1, g) for g in _sl3_pair(field)]
+    gens += [diagonal(field, [-1 if j == i else 1 for j in range(1, n + 1)])
+             for i in reflections]
+    order = 2 ** len(reflections) * field.q ** (n - 1) * sl_order(3, field.q)
+    return GroupPresentation("weyl", n, field, tuple(gens), order)
 
 
 def gens_case(label: str, field: FieldSpec = None, n: int = None) -> GroupPresentation:
-    """Named presentations.
+    """Presentation of a case kind other than the gens_standard families.
 
     g0 and parabolic are parameterized by n (upper-row translations, and
     translations extended by a special linear block); the five reflection
     group cases come with their field and size built in.
     """
-    if label in ("g0", "parabolic"):
+    # the case table lives with the module descriptions, which import this
+    from .fixedpoint import _KINDS, Case, case_group
+
+    row = _KINDS.get(label)
+    if row is None or row.standard:
+        raise UnknownCase(f"unknown case {label!r}")
+    if row.q is None:
         if field is None or n is None:
             raise CaseFieldMismatch(f"case {label!r} needs both field and n")
-        if n < 2:
-            raise ArityTooSmall("need n >= 2")
-        q = field.q
-        gens = []
-        for j in range(2, n + 1):
-            for w in _omega_powers(field):
-                gens.append(transvection(field, n, 1, j, w))
-        if label == "g0":
-            return GroupPresentation("g0", n, field, tuple(gens), q ** (n - 1))
-        block = gens_standard("sl", n - 1, field)
-        for g in block.generators:
-            gens.append(_embed(field, n, 1, g))
-        order = q ** (n - 1) * sl_order(n - 1, q)
-        return GroupPresentation("parabolic", n, field, tuple(gens), order)
-
-    if label not in _CASE_FIELDS:
-        raise UnknownCase(f"unknown case {label!r}")
-    want = _CASE_FIELDS[label]
-    if field is not None and field != want:
-        raise CaseFieldMismatch(f"case {label} lives over {want}, got {field}")
-    if n is not None and n != _CASE_N[label]:
-        raise CaseFieldMismatch(f"case {label} has n = {_CASE_N[label]}")
-    field = want
-    if label == "e8_p5_3":
-        base = gens_standard("sl", 3, field)
-        return GroupPresentation(label, 3, field, base.generators, base.order)
-    if label == "f4_3":
-        base = gens_standard("sl", 3, field)
-        return GroupPresentation(label, 3, field, base.generators, base.order)
-    if label == "e6_4":
-        gens = [transvection(field, 4, 1, j, 1) for j in (2, 3, 4)]
-        gens += [_embed(field, 4, 1, g) for g in _sl3_pair(field)]
-        return GroupPresentation(label, 4, field, tuple(gens), 27 * sl_order(3, 3))
-    if label == "e7_4":
-        base = gens_case("e6_4")
-        gens = base.generators + (diagonal(field, [2, 1, 1, 1]),)
-        return GroupPresentation(label, 4, field, gens, 2 * base.order)
-    # e8_5a: upper row over the middle SL_3 block, a separate last line,
-    # and the two diagonal reflections
-    gens = [transvection(field, 5, 1, j, 1) for j in (2, 3, 4, 5)]
-    gens += [_embed(field, 5, 1, g) for g in _sl3_pair(field)]
-    gens.append(diagonal(field, [2, 1, 1, 1, 1]))
-    gens.append(diagonal(field, [1, 1, 1, 1, 2]))
-    return GroupPresentation(label, 5, field, tuple(gens), 4 * 81 * sl_order(3, 3))
+        if n < row.min_n:
+            raise ArityTooSmall(f"need n >= {row.min_n}")
+    else:
+        want = make_field(row.q)
+        if field is not None and field != want:
+            raise CaseFieldMismatch(f"case {label} lives over {want}, got {field}")
+        if n is not None and n != row.n:
+            raise CaseFieldMismatch(f"case {label} has n = {row.n}")
+        field, n = want, row.n
+    return case_group(Case(label, label, field, n))
 
 
 def act(g: GroupMatrix, u):

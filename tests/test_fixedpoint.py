@@ -467,7 +467,10 @@ def test_case_elements_are_invariant_and_named():
 
 
 def test_element_degrees_match_description():
-    for label in ("f4_3", "e6_4", "e7_4", "e8_5a"):
+    for label in ("f4_3", "e6_4", "e7_4", "e8_5a", "e8_p5_3",
+                  "sl(2,3)", "gl(2,3)", "sl(3,3)", "gl(3,3)", "sl(2,5)",
+                  "gl(2,5)", "g0(3,3)", "g0(4,3)", "parabolic(3,3)",
+                  "parabolic(4,3)"):
         case = parse_case(label)
         desc = module_description(case)
         ring, basis = case_elements(case)
