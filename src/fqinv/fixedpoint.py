@@ -715,7 +715,7 @@ _KINDS["parabolic"] = replace(
 _KINDS["f4_3"] = _reordered(_KINDS["sl"], (0, 2, 1), q=3, n=3, var="t")
 _KINDS["e6_4"] = _reordered(
     _KINDS["parabolic"], (1, 3, 2, 0), q=3, n=4, var="t",
-    gens=lambda field, n: _weyl(field, n, ()), cap=lambda n: 24)
+    gens=lambda field, n: _weyl(field, n, ()), cap=lambda n: 27)
 _KINDS["e7_4"] = _Kind(
     gens=lambda field, n: _weyl(field, n, (1,)),
     degrees=lambda q, n: (
@@ -732,7 +732,8 @@ _KINDS["e8_5a"] = _Kind(
         + _q_degrees(3, 169, index_subsets(4))),
     elements=_e8_5a_elements, cap=lambda n: 12, q=3, n=5, product=False,
     var="t")
-_KINDS["e8_p5_3"] = _reordered(_KINDS["sl"], (0, 2, 1), q=5, n=3, var="t")
+_KINDS["e8_p5_3"] = _reordered(_KINDS["sl"], (0, 2, 1), q=5, n=3, var="t",
+                               cap=lambda n: 61)
 
 _LABEL_RE = re.compile(r"^(\w+)\((\d+),(\d+)\)$")
 

@@ -288,8 +288,8 @@ def test_criterion_6_transvection_group_module(capfd):
 
 def test_criterion_7_named_reflection_group_modules(capfd):
     with criterion(capfd, 7, "named reflection group modules", budget=1800):
-        for label, d_max in (("f4_3", 30), ("e6_4", 24), ("e7_4", 24),
-                             ("e8_5a", 12), ("e8_p5_3", 30)):
+        for label, d_max in (("f4_3", 30), ("e6_4", 27), ("e7_4", 24),
+                             ("e8_5a", 12), ("e8_p5_3", 61)):
             rep = verify_module(label, d_max)
             assert rep.ok, label
             assert len(rep.rows) == d_max + 1

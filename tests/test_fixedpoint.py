@@ -451,7 +451,7 @@ def test_degree_caps_schedule():
     expected = {
         "sl(2,3)": 40, "gl(2,3)": 40, "sl(3,3)": 30, "sl(4,3)": 12,
         "g0(3,3)": 20, "g0(4,3)": 12, "parabolic(3,3)": 20,
-        "f4_3": 30, "e8_p5_3": 30, "e6_4": 24, "e7_4": 24, "e8_5a": 12,
+        "f4_3": 30, "e8_p5_3": 61, "e6_4": 27, "e7_4": 24, "e8_5a": 12,
     }
     for label, cap in expected.items():
         assert degree_cap(parse_case(label)) == cap, label
