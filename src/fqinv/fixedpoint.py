@@ -660,8 +660,8 @@ class _Kind:
     degrees: Callable       # (q, n) -> (ring degrees, module basis degrees)
     elements: Callable      # (field, n) -> (ring, basis) named elements
     cap: Callable           # n -> largest degree verify_module attempts
-    q: int = None
-    n: int = None
+    q: int | None = None
+    n: int | None = None
     min_n: int = 1
     standard: bool = False  # built by gens_standard, not by gens_case
     witness: bool = False   # integrality witness of the orbit product
@@ -682,13 +682,15 @@ def _reordered(base, order, **row):
     return _Kind(**(inherited | row))
 
 
-_KINDS = {"sl": _Kind(
+# Rows are entered in the order the --case help lists them.
+_KINDS = {}
+_KINDS["sl"] = _Kind(
     gens=lambda field, n: gens_standard("sl", n, field),
     degrees=lambda q, n: (
         [_deg_e(n, q)] + [_deg_c(n, i, q) for i in range(1, n)],
         [0] + _q_degrees(q, n, index_subsets(n, n - 1))),
     elements=_sl_elements,
-    cap=lambda n: 40 if n <= 2 else (30 if n == 3 else 12), standard=True)}
+    cap=lambda n: 40 if n <= 2 else (30 if n == 3 else 12), standard=True)
 _KINDS["gl"] = replace(
     _KINDS["sl"], gens=lambda field, n: gens_standard("gl", n, field),
     degrees=lambda q, n: (

@@ -223,36 +223,29 @@ def _sl3_pair(field):
     return t, c
 
 
-def _upper_row(field, n, scalars):
-    """The translations x_1 -> x_1 + w x_j, j = 2..n, for each scalar w."""
-    return [transvection(field, n, 1, j, w)
-            for j in range(2, n + 1) for w in scalars]
-
-
 def _translations(field, n):
     """g0: the upper-row translations by span(x_2..x_n)."""
-    gens = _upper_row(field, n, _omega_powers(field))
+    gens = [transvection(field, n, 1, j, w)
+            for j in range(2, n + 1) for w in _omega_powers(field)]
     return GroupPresentation("g0", n, field, tuple(gens), field.q ** (n - 1))
 
 
 def _parabolic(field, n):
     """The translations extended by a special linear block on x_2..x_n."""
-    block = gens_standard("sl", n - 1, field)
-    gens = _upper_row(field, n, _omega_powers(field))
-    gens += [_embed(field, n, 1, g) for g in block.generators]
-    order = field.q ** (n - 1) * block.order
-    return GroupPresentation("parabolic", n, field, tuple(gens), order)
+    g0, block = _translations(field, n), gens_standard("sl", n - 1, field)
+    gens = g0.generators + tuple(_embed(field, n, 1, g) for g in block.generators)
+    return GroupPresentation("parabolic", n, field, gens, g0.order * block.order)
 
 
 def _weyl(field, n, reflections):
-    """The upper row over the SL_3 pair on x_2..x_4, then one diagonal
+    """The translations over the SL_3 pair on x_2..x_4, then one diagonal
     reflection x_i -> -x_i for each listed i."""
-    gens = _upper_row(field, n, [1])
-    gens += [_embed(field, n, 1, g) for g in _sl3_pair(field)]
-    gens += [diagonal(field, [-1 if j == i else 1 for j in range(1, n + 1)])
-             for i in reflections]
-    order = 2 ** len(reflections) * field.q ** (n - 1) * sl_order(3, field.q)
-    return GroupPresentation("weyl", n, field, tuple(gens), order)
+    g0 = _translations(field, n)
+    gens = g0.generators + tuple(_embed(field, n, 1, g) for g in _sl3_pair(field))
+    gens += tuple(diagonal(field, [-1 if j == i else 1 for j in range(1, n + 1)])
+                  for i in reflections)
+    order = g0.order * sl_order(3, field.q) * 2 ** len(reflections)
+    return GroupPresentation("weyl", n, field, gens, order)
 
 
 def gens_case(label: str, field: FieldSpec = None, n: int = None) -> GroupPresentation:
