@@ -412,8 +412,9 @@ def test_parse_case_labels():
         parse_case("sl(2,9)")  # q must be prime in a label
     with pytest.raises(UnknownCase):
         parse_case("so(2,3)")
-    with pytest.raises(UnknownCase):
-        parse_case("sl(0,3)")
+    for label in ("sl(0,3)", "g0(1,3)", "parabolic(1,5)", "f4_3(3,3)", "sl"):
+        with pytest.raises(UnknownCase):
+            parse_case(label)
 
 
 def test_case_group_matches_label():

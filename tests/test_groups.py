@@ -25,6 +25,7 @@ from fqinv import (
 from fqinv import groups
 from fqinv.errors import (
     ArityMismatch,
+    ArityTooSmall,
     BadIndexTuple,
     CapExceeded,
     CaseFieldMismatch,
@@ -126,12 +127,21 @@ def test_case_presentations():
             pres = gens_case(label, field, n)
         else:
             pres = gens_case(label)
-        assert pres.n == n
+        assert pres.label == label and pres.n == n
         assert pres.field is field
         assert len(pres.generators) == k
         assert pres.order == order
     with pytest.raises(UnknownCase):
         gens_case("e9_4")
+    for label in ("sl", "gl"):  # gens_standard builds these
+        with pytest.raises(UnknownCase):
+            gens_case(label, F3, 2)
+    with pytest.raises(CaseFieldMismatch):
+        gens_case("f4_3", F5)
+    with pytest.raises(CaseFieldMismatch):
+        gens_case("e6_4", n=3)
+    with pytest.raises(ArityTooSmall):
+        gens_case("g0", F3, 1)
 
 
 @pytest.mark.parametrize("label", ["g0", "parabolic"])
