@@ -32,6 +32,7 @@ from fqinv import (
     parse_case,
     tensor_act,
     theorem_basis,
+    to_json,
     transvection,
     verify_module,
     wilkerson_check,
@@ -47,7 +48,7 @@ from fqinv.errors import (
     UnknownCase,
 )
 
-from conftest import F3, F5, F9, elements_digest
+from conftest import F3, F5, F9, F25, F27, F125, elements_digest
 
 SETTINGS = settings(max_examples=30, deadline=None, derandomize=True,
                     database=None,
@@ -115,11 +116,11 @@ def test_description_validation():
 # -- fixed subspaces ---------------------------------------------------------
 
 def _dense_fixed_dim(group, d):
-    """Independent check: stack the (g - 1) matrices densely and row-reduce.
-    group is a presentation or a list of matrices over a prime field."""
+    """Independent check: stack the (g - 1) matrices densely and row-reduce
+    over F_q with the field's own raw arithmetic.  group is a presentation
+    or a list of matrices."""
     gens = list(getattr(group, "generators", group))
     field, n = gens[0].field, gens[0].n
-    p = field.p
     basis = monomial_basis(field, n, d)
     index = {be: k for k, be in enumerate(basis)}
     rows = []
@@ -137,19 +138,19 @@ def _dense_fixed_dim(group, d):
             row = [cols[k][j] for k in range(len(basis))]
             if any(row):
                 rows.append(row)
-    # plain Gauss elimination over F_p
+    # plain Gauss elimination over F_q
     rank, cols = 0, len(basis)
     for col in range(cols):
         piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
         if piv is None:
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = pow(rows[rank][col], p - 2, p)
-        rows[rank] = [(v * inv) % p for v in rows[rank]]
+        inv = field.inv(rows[rank][col])
+        rows[rank] = [field.mul(v, inv) for v in rows[rank]]
         for r in range(len(rows)):
             if r != rank and rows[r][col]:
                 f = rows[r][col]
-                rows[r] = [(a - f * b) % p
+                rows[r] = [field.sub(a, field.mul(f, b))
                            for a, b in zip(rows[r], rows[rank])]
         rank += 1
     return cols - rank
@@ -176,25 +177,30 @@ def test_fixed_dim_matches_dense_elimination():
 def mixed_presentations(draw, field):
     """A diagonal with an entry other than 1, so that some orbits carry
     disagreeing scalars and drop out, a scaled permutation, and up to two
-    transvections."""
+    transvections.  Scalars are drawn as raws, so over an extension field
+    they reach outside the prime subfield."""
     n = draw(st.integers(2, 3), label="n")
-    units = st.integers(1, field.p - 1)
-    entries = [draw(st.integers(2, field.p - 1))] + \
-        [draw(units) for _ in range(n - 1)]
+    raws = st.integers(1, field.q - 1)
+
+    def unit():
+        return field.from_raw(draw(raws))
+
+    entries = [field.from_raw(draw(st.integers(2, field.q - 1)))] + \
+        [unit() for _ in range(n - 1)]
     perm = draw(st.permutations(range(n)).filter(
         lambda pm: pm != list(range(n))))
     rows = [[0] * n for _ in range(n)]
     for i, j in enumerate(perm):
-        rows[i][j] = draw(units)
+        rows[i][j] = unit()
     gens = [diagonal(field, draw(st.permutations(entries))),
             GroupMatrix(field, rows)]
     for _ in range(draw(st.integers(0, 2))):
         i, j = draw(st.permutations(range(1, n + 1)))[:2]
-        gens.append(transvection(field, n, i, j, draw(units)))
+        gens.append(transvection(field, n, i, j, unit()))
     return draw(st.permutations(gens))
 
 
-@pytest.mark.parametrize("field", (F3, F5), ids=repr)
+@pytest.mark.parametrize("field", (F3, F5, F9, F25), ids=repr)
 @seed(20261018)
 @SETTINGS
 @given(data=st.data())
@@ -373,15 +379,82 @@ def test_fixed_basis_contents():
         assert is_invariant(u, sl2)
 
 
-def test_extension_field_transvections_move_the_variables():
-    # gens_standard(sl, 2, F9) includes transvections by t; the raw F9
+@pytest.mark.parametrize("field, gl_max", [(F9, 30), (F25, 14), (F27, 14),
+                                           (F125, 14)],
+                         ids=["F9", "F25", "F27", "F125"])
+def test_extension_field_transvections_move_the_variables(field, gl_max):
+    # gens_standard(sl, 2, F_q) includes transvections by t; the raw F_q
     # entries of their inverse rows must reach the substitution unreduced
-    sl2 = gens_standard("sl", 2, F9)
-    desc = module_description(Case("sl(2,9)", "sl", F9, 2))
+    sl2 = gens_standard("sl", 2, field)
+    desc = module_description(Case(f"sl(2,{field.q})", "sl", field, 2))
     assert [fixed_dim(sl2, d) for d in range(41)] == \
         [hilbert_coeff(desc, d) for d in range(41)]
-    for u in theorem_basis(F9, "sl", 2):
+    for u in theorem_basis(field, "sl", 2):
         assert is_invariant(u, sl2)
+    gl3 = gens_standard("gl", 3, field)
+    desc = module_description(Case(f"gl(3,{field.q})", "gl", field, 3))
+    assert [fixed_dim(gl3, d) for d in range(gl_max + 1)] == \
+        [hilbert_coeff(desc, d) for d in range(gl_max + 1)]
+
+
+def golden_groups(field):
+    """Presentations whose fixed_basis output is pinned, with their top
+    degree: sl(2, F_q), which has no monomial generator; x1 -> t x2,
+    x2 -> x1 with a diagonal and a transvection by t; and a diagonal under
+    a transvection by t, whose orbit kernel is cut by the transvection."""
+    t = field.from_raw(field.p)
+    return {
+        "sl(2)": (gens_standard("sl", 2, field), 13),
+        "swap+diag+tv": ([GroupMatrix(field,
+                                      [[0, t, 0], [1, 0, 0], [0, 0, 1]]),
+                          diagonal(field, [1, 1, -1]),
+                          transvection(field, 3, 3, 1, t)], 9),
+        "diag+tv": ([diagonal(field, [-1, 1, 1]),
+                     transvection(field, 3, 1, 2, t)], 9),
+    }
+
+
+# SHA-256 of "d<TAB>to_json(v)" lines over every fixed_basis vector v of
+# each golden group, degrees 0..top in order, taken before the solver moved
+# to base-p digit vectors
+FIXED_BASIS_SHA256 = [
+    (F9, "sl(2)",
+     "4e4fa39cdc7c387a95a7d6715d5fb70a48414520ee172ed93d0be1e5e12c1e3d"),
+    (F9, "swap+diag+tv",
+     "5759e06afca7f1948f346e2ae11675dba7cd3efd00d150e54e114e5899c27fa6"),
+    (F9, "diag+tv",
+     "9ed5cdda3b46f1c878e9a46371b7f9bde7b2994df3b61a0e1e0070003726767a"),
+    (F25, "sl(2)",
+     "1699835f8166bea790009d437635f69dc5380d6b4204ccc926b239dcca53b9b0"),
+    (F25, "swap+diag+tv",
+     "8c91c76ba15935233ba93f57f388ac3ef6fc5469eec99487b7b368f789420d42"),
+    (F25, "diag+tv",
+     "9f43ddaf14462f60170e288b8b4a11abfcd673ab574da481668a45e4933429a0"),
+    (F27, "sl(2)",
+     "da0bc4c7286e1ed5f7788a5d865faea299f97fb4133ea9ec4c8d5276073a8ce2"),
+    (F27, "swap+diag+tv",
+     "664998f8ac866513a80e4c8f489c8ef2e421b1abf9fc1ad307f50624c210a395"),
+    (F27, "diag+tv",
+     "2d742f5bde71f01f5e52c5745eb2e88583903440dcc86fbba76814d458d48755"),
+    (F125, "sl(2)",
+     "4d0d4b781559b4a112571a8bf2e1e9b4c320a94fbde1c2a2f17f65b4dc0f9144"),
+    (F125, "swap+diag+tv",
+     "11660ca80dae92483d23213b3163bd3b9886d0e4acc3518b05e9da5ee4128bd1"),
+    (F125, "diag+tv",
+     "0bb2ca6c021072e0293f0a1e148856b4129f816ea14f8fbdd796866c5636a7b8"),
+]
+
+
+@pytest.mark.parametrize(
+    "field, name, sha256", FIXED_BASIS_SHA256,
+    ids=[f"F{field.q}-{name}" for field, name, _ in FIXED_BASIS_SHA256])
+def test_extension_field_fixed_basis_is_pinned(field, name, sha256):
+    gens, top = golden_groups(field)[name]
+    h = hashlib.sha256()
+    for d in range(top + 1):
+        for v in fixed_basis(gens, d):
+            h.update(f"{d}\t{to_json(v)}\n".encode())
+    assert h.hexdigest() == sha256
 
 
 def test_fixed_basis_keeps_extension_field_coefficients():
