@@ -322,6 +322,16 @@ def _product_table(field):
 
 
 @lru_cache(maxsize=None)
+def _digit_table(field):
+    """R[a, i, k]: base-p digit k of t^i * a, for every raw a.  Times a is
+    the e x e matrix R[a] over F_p on base-p digit rows (the regular
+    representation): digits(x * a) = digits(x) @ R[a] mod p."""
+    p, e = field.p, field.e
+    return np.array([[field.coeffs(field.mul(p ** i, a)) for i in range(e)]
+                     for a in range(field.q)], dtype=np.int64)
+
+
+@lru_cache(maxsize=None)
 def _lane_table(field, lane):
     """Products of raws a*b at index a*q + b, their coordinates spread
     into lanes of `lane` bits."""

@@ -9,9 +9,10 @@ multiple of one variable) permute the block's monomials up to scalars, so
 their common fixed vectors are the orbit sums whose scalars agree, one
 column per such orbit (the permutation-module basis of Derksen & Kemper,
 Computational Invariant Theory, section 3).  The other generators cut
-that kernel down one at a time by an exact dense elimination over F_q,
-from action columns built per block: the image of x^a dx_J is the
-product of the images of x^a and of dx_J, each computed once.
+that kernel down one at a time by an exact dense elimination, from action
+columns built per block: the image of x^a dx_J is the product of the
+images of x^a and of dx_J, each computed once.  Every elimination runs
+over F_p on the base-p digits of F_q-vectors.
 
 The case table has one row per case kind.  A row ties the kind's group
 presentation to the free-module shape of its invariant ring (polynomial
@@ -94,39 +95,32 @@ def monomial_basis(field: FieldSpec, n: int, d: int):
     return out
 
 
-# -- exact linear algebra over F_q ------------------------------------------
+# -- exact linear algebra over F_p ------------------------------------------
+#
+# Every array the solver eliminates holds F_p values.  An F_q-vector of
+# length N is the vector of its N*e base-p digits, digit k of entry j at
+# j*e + k, and an F_q-subspace is the F_p-span of the digits of t^i * v,
+# i < e, for v in it: the restriction of scalars that group_order_bfs takes
+# too.  So an F_p-dimension is e times the F_q-dimension.
 
-_TABLE_CACHE = {}
 _MATMUL_ROWS = 1024
+_MOVE_ROWS = 64
 
 
-def _tables(field):
-    """Numpy lookup tables for field arithmetic on raw values."""
-    key = (field.p, field.e, field.modulus)
-    tabs = _TABLE_CACHE.get(key)
-    if tabs is None:
-        q = field.q
-        add = np.array([[field.add(a, b) for b in range(q)] for a in range(q)],
-                       dtype=np.int64)
-        sub = np.array([[field.sub(a, b) for b in range(q)] for a in range(q)],
-                       dtype=np.int64)
-        mul = np.array([[field.mul(a, b) for b in range(q)] for a in range(q)],
-                       dtype=np.int64)
-        inv = np.array([0] + [field.inv(a) for a in range(1, q)],
-                       dtype=np.int64)
-        tabs = (add, sub, mul, inv)
-        _TABLE_CACHE[key] = tabs
-    return tabs
+def _expand(field, a):
+    """The digit form of the span of the raw columns of a: column c*e + i
+    of the (N*e, m*e) result holds the digits of t^i times column c."""
+    if field.e == 1:
+        return a
+    (n, m), e = a.shape, field.e
+    return algebra._digit_table(field)[a].transpose(0, 3, 1, 2).reshape(
+        n * e, m * e)
 
 
-def _eliminate(a, field):
-    """Reduced row echelon form of the int64 array a over F_q, computed in
+def _eliminate(a, p):
+    """Reduced row echelon form of the int64 array a over F_p, computed in
     a itself; returns the pivot columns, one per leading nonzero row."""
     m, k = a.shape
-    prime = field.e == 1
-    p = field.p
-    if not prime:
-        _, sub, mul, inv_t = _tables(field)
     pivots = []
     for col in range(k):
         row = len(pivots)
@@ -138,72 +132,69 @@ def _eliminate(a, field):
         r0 = row + nz[0]
         if r0 != row:
             a[[row, r0]] = a[[r0, row]]
-        if prime:
-            a[row] = (a[row] * pow(int(a[row, col]), p - 2, p)) % p
-        else:
-            a[row] = mul[inv_t[a[row, col]], a[row]]
+        a[row] = (a[row] * pow(int(a[row, col]), p - 2, p)) % p
         factors = a[:, col].copy()
         factors[row] = 0
         hit = np.nonzero(factors)[0]
         if hit.size:
-            if prime:
-                a[hit] = (a[hit] - np.outer(factors[hit], a[row])) % p
-            else:
-                a[hit] = sub[a[hit], mul[factors[hit][:, None], a[row][None, :]]]
+            a[hit] = (a[hit] - np.outer(factors[hit], a[row])) % p
         pivots.append(col)
     return pivots
 
 
-def _nullspace(a, field):
-    """Kernel basis of the int64 array a over F_q; columns of the result,
-    int64.  Eliminates in a itself, which it overwrites."""
+def _nullspace(a, p):
+    """Kernel basis of the int64 array a over F_p; columns of the result,
+    int64.  Eliminates in a itself, which it overwrites, after moving its
+    nonzero rows to the top _MOVE_ROWS at a time (row j comes from a row
+    at or below j, so no row is overwritten before it is read)."""
+    live = np.nonzero(a.any(axis=1))[0]
+    for lo in range(0, len(live), _MOVE_ROWS):
+        rows = live[lo:lo + _MOVE_ROWS]
+        a[lo:lo + len(rows)] = a[rows]
+    a = a[:len(live)]
     m, k = a.shape
     if m == 0 or k == 0:
         return np.eye(k, dtype=np.int64)
-    pivots = _eliminate(a, field)
-    prime, p = field.e == 1, field.p
-    pivot_set = set(pivots)
-    free = [c for c in range(k) if c not in pivot_set]
+    pivots = _eliminate(a, p)
+    free = np.ones(k, dtype=bool)
+    free[pivots] = False
+    free = np.nonzero(free)[0]
     out = np.zeros((k, len(free)), dtype=np.int64)
-    for j, f in enumerate(free):
-        out[f, j] = 1
-        for r, c in enumerate(pivots):
-            v = int(a[r, f])
-            if v:
-                out[c, j] = (p - v) % p if prime else field.neg(v)
+    out[free, np.arange(len(free))] = 1
+    out[pivots] = (-a[:len(pivots), free]) % p
     return out
 
 
-def _matmul_mod(x, y, field):
-    """Exact x @ y over F_q; float64 BLAS for prime fields, a block of
-    _MATMUL_ROWS rows of x at a time so that no float copy of all of x is
-    held."""
-    if field.e == 1:
-        yf = y.astype(np.float64)
-        out = np.empty((x.shape[0], y.shape[1]), dtype=np.int64)
-        for i in range(0, x.shape[0], _MATMUL_ROWS):
-            prod = np.rint(x[i:i + _MATMUL_ROWS].astype(np.float64) @ yf)
-            out[i:i + _MATMUL_ROWS] = prod.astype(np.int64) % field.p
-        return out
-    add, _, mul, _ = _tables(field)
-    out = np.zeros((x.shape[0], y.shape[1]), dtype=np.int64)
-    for i in range(x.shape[1]):
-        col = x[:, i]
-        live = np.nonzero(col)[0]
-        if live.size == 0:
-            continue
-        contrib = np.zeros_like(out)
-        contrib[live] = mul[col[live][:, None], y[i][None, :]]
-        out = add[out, contrib]
+def _matmul_mod(x, y, p):
+    """Exact x @ y over F_p by float64 BLAS, a block of _MATMUL_ROWS rows
+    of x at a time so that no float copy of all of x is held."""
+    yf = y.astype(np.float64)
+    out = np.empty((x.shape[0], y.shape[1]), dtype=np.int64)
+    for i in range(0, x.shape[0], _MATMUL_ROWS):
+        prod = np.rint(x[i:i + _MATMUL_ROWS].astype(np.float64) @ yf)
+        out[i:i + _MATMUL_ROWS] = prod.astype(np.int64) % p
     return out
+
+
+def _canonical_rows(a, field):
+    """Reduced row echelon form over F_q, as raw rows sorted by pivot
+    position, of the F_q-stable span of the digit rows of a, which it
+    overwrites.  Over F_p each F_q pivot position holds e pivots, one per
+    digit, and the row whose pivot is digit 0 is the digits of the F_q
+    row."""
+    e = field.e
+    pivots = np.array(_eliminate(a, field.p), dtype=np.int64)
+    rows = a[:len(pivots)][pivots % e == 0]
+    return rows.reshape(len(rows), -1, e) @ field.p ** np.arange(e)
 
 
 def _rref_rows(rows, field):
-    """Reduced row echelon form; rows sorted by pivot position."""
+    """Reduced row echelon form over F_q of raw rows; rows sorted by pivot
+    position."""
     a = np.array(rows, dtype=np.int64)
     if a.size == 0:
         return a
-    return a[:len(_eliminate(a, field))]
+    return _canonical_rows(np.ascontiguousarray(_expand(field, a.T).T), field)
 
 
 # -- per-block solver --------------------------------------------------------
@@ -224,6 +215,13 @@ def _split_generators(gens):
             general.append((nnz_off, pos, g))
     general.sort(key=lambda item: item[:2])
     return monomial, [g for _, _, g in general]
+
+
+@lru_cache(maxsize=None)
+def _product_array(field):
+    """algebra._product_table as a q x q array, for gathers."""
+    return np.array(algebra._product_table(field), np.int64).reshape(
+        field.q, field.q)
 
 
 def _monomial_permutation(field, exps, words, targets, scalars):
@@ -256,7 +254,7 @@ def _monomial_permutation(field, exps, words, targets, scalars):
     eperm, escale = np.array(eperm, np.int64), np.array(escale, np.int64)
     wperm, wscale = np.array(wperm, np.int64), np.array(wscale, np.int64)
     perm = (wperm[:, None] * len(exps) + eperm).ravel()
-    scale = _tables(field)[2][wscale[:, None], escale].ravel()
+    scale = _product_array(field)[wscale[:, None], escale].ravel()
     return perm, scale
 
 
@@ -301,7 +299,7 @@ def _general_columns(field, g, exps, words, needed):
     x^exps[e] dx_words[w].  Its image is the product of the images of
     x^exps[e] and of dx_words[w], and each of those is computed once."""
     rows = algebra._raw_rows(field, len(exps[0]), g.inverse_rows())
-    mul = _tables(field)[2]
+    mul = _product_array(field)
     width = len(exps)
     exp_rank = {exp: e for e, exp in enumerate(exps)}
     word_rank = {word: w * width for w, word in enumerate(words)}
@@ -330,77 +328,71 @@ def _ranked(rank, image):
 
 
 def _image_product(field, cols, kernel):
-    """g applied to the kernel columns, from the sparse action columns of
-    the positions where the kernel is nonzero; the dense action matrix is
-    never formed."""
-    moved = np.zeros(kernel.shape, dtype=np.int64)
-    prime = field.e == 1
-    if not prime:
-        add, _, mul, _ = _tables(field)
+    """g applied to the digit kernel columns, from the sparse action
+    columns of the positions where the kernel is nonzero; the dense action
+    matrix is never formed.  Digit i of position pos moves to digit k of
+    row r by R[vals[r], i, k], R the digit table."""
+    e, digits = field.e, algebra._digit_table(field)
+    moved = np.zeros((kernel.shape[0] // e, e, kernel.shape[1]), np.int64)
     for pos, (rows, vals) in cols.items():
-        if prime:
-            # at most len(cols) products below p^2 per entry: no overflow
-            moved[rows] += vals[:, None] * kernel[pos]
-        else:
-            moved[rows] = add[moved[rows], mul[vals[:, None], kernel[pos]]]
-    if prime:
-        moved %= field.p
-    return moved
+        block = digits[vals]
+        part = kernel[pos * e:(pos + 1) * e]
+        image = block[:, 0, :, None] * part[0]
+        for i in range(1, e):
+            image += block[:, i, :, None] * part[i]
+        # at most e*len(cols) products below p^2 per entry: no overflow
+        moved[rows] += image
+    moved %= field.p
+    return moved.reshape(kernel.shape)
 
 
 def _apply_generator(field, exps, words, kernel, g):
-    """The fixed vectors of g inside the span of the kernel columns, or
-    inside the whole block when kernel is None."""
-    size = len(exps) * len(words)
+    """Digit columns of the fixed vectors of g inside the span of the
+    kernel columns, or inside the whole block when kernel is None."""
+    size, e, p = len(exps) * len(words), field.e, field.p
     if kernel is None:
         needed = range(size)
     else:
-        needed = np.nonzero(kernel.any(axis=1))[0].tolist()
+        needed = np.nonzero(kernel.reshape(size, -1).any(axis=1))[0].tolist()
     cols = _general_columns(field, g, exps, words, needed)
     if kernel is None:
         # the action matrix minus the identity, eliminated in place
-        mat = np.zeros((size, size), dtype=np.int64)
+        mat = np.zeros((size, e, size * e), dtype=np.int64)
+        digits = algebra._digit_table(field)
         for pos, (rows, vals) in cols.items():
-            mat[rows, pos] = vals
-        diag = np.arange(size)
-        mat[diag, diag] = _subtract(mat[diag, diag], 1, field)
-        return _nullspace(mat, field)
+            block = digits[vals].transpose(0, 2, 1)
+            mat[rows, :, pos * e:(pos + 1) * e] = block
+        mat = mat.reshape(size * e, size * e)
+        diag = np.arange(size * e)
+        mat[diag, diag] = (mat[diag, diag] - 1) % p
+        return _nullspace(mat, p)
     moved = _image_product(field, cols, kernel)
-    if field.e == 1:
-        moved -= kernel
-        moved %= field.p
-    else:
-        moved = _subtract(moved, kernel, field)
-    reduction = _nullspace(moved, field)
+    moved -= kernel
+    moved %= p
+    reduction = _nullspace(moved, p)
     del moved
-    return _matmul_mod(kernel, reduction, field)
-
-
-def _subtract(x, y, field):
-    if field.e == 1:
-        return (x - y) % field.p
-    return _tables(field)[1][x, y]
+    return _matmul_mod(kernel, reduction, p)
 
 
 def _block_kernel(field, n, gens, k, r):
-    """Basis and fixed-vector matrix of the (poly degree, ext length) block:
-    the orbit kernel of the monomial generators, cut down by the others
-    one at a time."""
+    """Basis and fixed vectors, as digit columns, of the (poly degree, ext
+    length) block: the orbit kernel of the monomial generators, cut down
+    by the others one at a time."""
     exps = list(_monomials(n, k))
     words = list(combinations(range(1, n + 1), r))
     basis = [(exp, ext) for ext in words for exp in exps]
     monomial, general = _split_generators(gens)
     kernel = None
     if monomial:
-        kernel = _orbit_kernel(field, [
+        kernel = _expand(field, _orbit_kernel(field, [
             _monomial_permutation(field, exps, words, targets, scalars)
-            for targets, scalars in monomial])
+            for targets, scalars in monomial]))
     for g in general:
         if kernel is not None and kernel.shape[1] == 0:
             break
         kernel = _apply_generator(field, exps, words, kernel, g)
     if kernel is None:
-        kernel = np.eye(len(basis), dtype=np.int64)
+        kernel = np.eye(len(basis) * field.e, dtype=np.int64)
     return basis, kernel
 
 
@@ -433,7 +425,7 @@ def fixed_dim(group, d: int, exterior_degree=None) -> int:
         if exterior_degree is not None and r != exterior_degree:
             continue
         _, kernel = _block_kernel(field, n, gens, k, r)
-        total += kernel.shape[1]
+        total += kernel.shape[1] // field.e
     return total
 
 
@@ -450,23 +442,22 @@ def fixed_basis(group, d: int):
     blocks = []
     offset = 0
     full_basis = []
-    stacked = []
     dims = 0
     for k, r in _block_shapes(n, d):
         basis, kernel = _block_kernel(field, n, gens, k, r)
-        blocks.append((offset, basis, kernel))
+        blocks.append((offset * field.e, kernel))
         offset += len(basis)
         full_basis.extend(basis)
         dims += kernel.shape[1]
     if dims == 0:
         return []
-    rows = np.zeros((dims, offset), dtype=np.int64)
+    rows = np.zeros((dims, offset * field.e), dtype=np.int64)
     at = 0
-    for start, basis, kernel in blocks:
-        for j in range(kernel.shape[1]):
-            rows[at, start:start + len(basis)] = kernel[:, j]
-            at += 1
-    rows = _rref_rows(rows, field)
+    for start, kernel in blocks:
+        size, width = kernel.shape
+        rows[at:at + width, start:start + size] = kernel.T
+        at += width
+    rows = _canonical_rows(rows, field)
     out = []
     for vec in rows:
         parts = {}

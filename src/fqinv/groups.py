@@ -350,16 +350,11 @@ def _closure(start, step, base, cap):
 
 def _regular(field, g):
     """The (n*e) x (n*e) matrix over F_p by which g acts on base-p digit
-    rows: digits(v*g) = digits(v) @ _regular(field, g) mod p."""
-    e = field.e
-    out = np.zeros((g.n * e, g.n * e), dtype=np.int64)
-    for i, row in enumerate(g.rows):
-        for j, c in enumerate(row):
-            if c:
-                for k in range(e):
-                    out[i * e + k, j * e:(j + 1) * e] = field.coeffs(
-                        field.mul(field.p ** k, c))
-    return out
+    rows: digits(v*g) = digits(v) @ _regular(field, g) mod p.  Its e x e
+    block (i, j) is the digit table's matrix of g[i][j]."""
+    width = g.n * field.e
+    blocks = algebra._digit_table(field)[np.array(g.rows, dtype=np.int64)]
+    return blocks.transpose(0, 2, 1, 3).reshape(width, width)
 
 
 def _digits_per_word(base, width):
