@@ -778,15 +778,15 @@ def module_description(case) -> FreeModuleDescription:
 
 
 @lru_cache(maxsize=None)
-def _case_elements_cached(label):
-    c = parse_case(label)
+def _case_elements_cached(case):
+    c = _as_case(case)
     return _kind(c.kind).elements(c.field, c.n)
 
 
 def case_elements(case):
-    """Named ring generators and module basis elements of a case."""
-    c = _as_case(case)
-    return _case_elements_cached(c.label)
+    """Named ring generators and module basis elements of a case, over
+    the case's own field."""
+    return _case_elements_cached(_as_case(case))
 
 
 def degree_cap(case) -> int:

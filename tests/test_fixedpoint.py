@@ -615,6 +615,19 @@ def test_verify_module_small_case():
     assert data["wilkerson"]["product_matches"] is True
 
 
+@pytest.mark.parametrize("case, d_max", [
+    (Case("sl(2,9)", "sl", F9, 2), 20),
+    (Case("gl(2,25)", "gl", F25, 2), 12),
+    (Case("g0(3,9)", "g0", F9, 3), 8),
+], ids=lambda v: v.label if isinstance(v, Case) else str(v))
+def test_verify_module_runs_over_the_case_field(case, d_max):
+    # the elements come from the Case's own field, not from its label
+    ring, basis = case_elements(case)
+    assert all(el.field == case.field for _, el in ring + basis)
+    rep = verify_module(case, d_max)
+    assert rep.ok and len(rep.rows) == d_max + 1
+
+
 def test_verify_module_rejects_degrees_past_cap():
     with pytest.raises(FeasibilityCapExceeded):
         verify_module("sl(2,3)", 100)
