@@ -166,13 +166,16 @@ def _nullspace(a, p):
 
 
 def _matmul_mod(x, y, p):
-    """Exact x @ y over F_p by float64 BLAS, a block of _MATMUL_ROWS rows
-    of x at a time so that no float copy of all of x is held."""
+    """Exact x @ y over F_p by float64 BLAS, on the nonzero rows of x
+    only, _MATMUL_ROWS of them at a time so that no float copy of all of
+    x is held."""
     yf = y.astype(np.float64)
-    out = np.empty((x.shape[0], y.shape[1]), dtype=np.int64)
-    for i in range(0, x.shape[0], _MATMUL_ROWS):
-        prod = np.rint(x[i:i + _MATMUL_ROWS].astype(np.float64) @ yf)
-        out[i:i + _MATMUL_ROWS] = prod.astype(np.int64) % p
+    out = np.zeros((x.shape[0], y.shape[1]), dtype=np.int64)
+    live = np.nonzero(x.any(axis=1))[0]
+    for i in range(0, len(live), _MATMUL_ROWS):
+        rows = live[i:i + _MATMUL_ROWS]
+        prod = np.rint(x[rows].astype(np.float64) @ yf)
+        out[rows] = prod.astype(np.int64) % p
     return out
 
 
@@ -185,7 +188,8 @@ def _canonical_rows(a, field):
     e = field.e
     pivots = np.array(_eliminate(a, field.p), dtype=np.int64)
     rows = a[:len(pivots)][pivots % e == 0]
-    return rows.reshape(len(rows), -1, e) @ field.p ** np.arange(e)
+    digits = rows.reshape(len(rows), a.shape[1] // e, e)
+    return digits @ field.p ** np.arange(e)
 
 
 def _rref_rows(rows, field):

@@ -48,7 +48,7 @@ from fqinv.errors import (
     UnknownCase,
 )
 
-from conftest import F3, F5, F9, F25, F27, F125, elements_digest
+from conftest import ALL_FIELDS, F3, F5, F9, F25, F27, F125, elements_digest
 
 SETTINGS = settings(max_examples=30, deadline=None, derandomize=True,
                     database=None,
@@ -138,9 +138,15 @@ def _dense_fixed_dim(group, d):
             row = [cols[k][j] for k in range(len(basis))]
             if any(row):
                 rows.append(row)
-    # plain Gauss elimination over F_q
-    rank, cols = 0, len(basis)
-    for col in range(cols):
+    return len(basis) - len(reference_rref(rows, len(basis), field))
+
+
+def reference_rref(rows, width, field):
+    """Nonzero rows of the reduced row echelon form of raw rows over F_q,
+    by plain Gauss-Jordan elimination with the field's raw arithmetic."""
+    rows = [list(row) for row in rows]
+    rank = 0
+    for col in range(width):
         piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
         if piv is None:
             continue
@@ -153,7 +159,51 @@ def _dense_fixed_dim(group, d):
                 rows[r] = [field.sub(a, field.mul(f, b))
                            for a, b in zip(rows[r], rows[rank])]
         rank += 1
-    return cols - rank
+    return rows[:rank]
+
+
+@pytest.mark.parametrize("field", ALL_FIELDS, ids=repr)
+def test_rref_rows_match_gauss_jordan_over_f_q(field):
+    # the solver reduces base-p digit rows over F_p and reads the F_q rows
+    # back; sparse random rows with repeats and multiples give rank drops
+    rng = np.random.default_rng(field.q)
+    for _ in range(40):
+        m, width = rng.integers(1, 7), rng.integers(1, 8)
+        rows = rng.integers(0, field.q, (m, width))
+        rows[rng.random((m, width)) < 0.4] = 0
+        if m > 2:
+            scalar = int(rng.integers(1, field.q))
+            rows[-1] = [field.mul(scalar, int(v)) for v in rows[0]]
+        got = fixedpoint._rref_rows(rows, field)
+        want = reference_rref(rows.tolist(), width, field)
+        assert got.tolist() == want
+
+
+def reference_nullspace(a, p):
+    """Kernel columns read off the reduced echelon form one free column
+    and one pivot at a time."""
+    a = a.copy()
+    k = a.shape[1]
+    pivots = fixedpoint._eliminate(a, p)
+    free = [c for c in range(k) if c not in pivots]
+    out = np.zeros((k, len(free)), dtype=np.int64)
+    for j, f in enumerate(free):
+        out[f, j] = 1
+        for r, c in enumerate(pivots):
+            out[c, j] = (-a[r, f]) % p
+    return out
+
+
+@pytest.mark.parametrize("p", (3, 5, 113))
+def test_nullspace_matches_the_per_entry_fill(p):
+    rng = np.random.default_rng(p)
+    for _ in range(60):
+        m, k = rng.integers(0, 10), rng.integers(0, 10)
+        a = rng.integers(0, p, (m, k))
+        a[rng.random(m) < 0.4] = 0          # zero rows are dropped first
+        got = fixedpoint._nullspace(a.copy(), p)
+        assert np.array_equal(got, reference_nullspace(a, p))
+        assert not (a @ got % p).any()
 
 
 def test_fixed_dim_small_golden():
@@ -400,8 +450,11 @@ def test_extension_field_transvections_move_the_variables(field, gl_max):
 def golden_groups(field):
     """Presentations whose fixed_basis output is pinned, with their top
     degree: sl(2, F_q), which has no monomial generator; x1 -> t x2,
-    x2 -> x1 with a diagonal and a transvection by t; and a diagonal under
-    a transvection by t, whose orbit kernel is cut by the transvection."""
+    x2 -> x1 with a diagonal and a transvection by t; a diagonal under a
+    transvection by t, whose orbit kernel is cut by the transvection; and
+    that transvection alone, with no monomial generator and a fixed space
+    that the Frobenius moves (over F27 it holds coefficients outside
+    F_3 from degree 6 on)."""
     t = field.from_raw(field.p)
     return {
         "sl(2)": (gens_standard("sl", 2, field), 13),
@@ -411,6 +464,7 @@ def golden_groups(field):
                           transvection(field, 3, 3, 1, t)], 9),
         "diag+tv": ([diagonal(field, [-1, 1, 1]),
                      transvection(field, 3, 1, 2, t)], 9),
+        "tv": ([transvection(field, 2, 1, 2, t)], 9),
     }
 
 
@@ -424,24 +478,32 @@ FIXED_BASIS_SHA256 = [
      "5759e06afca7f1948f346e2ae11675dba7cd3efd00d150e54e114e5899c27fa6"),
     (F9, "diag+tv",
      "9ed5cdda3b46f1c878e9a46371b7f9bde7b2994df3b61a0e1e0070003726767a"),
+    (F9, "tv",
+     "941836c482586528ceb5c3c46aa2f16c62182c47ef6279e530d57059e80ee6c3"),
     (F25, "sl(2)",
      "1699835f8166bea790009d437635f69dc5380d6b4204ccc926b239dcca53b9b0"),
     (F25, "swap+diag+tv",
      "8c91c76ba15935233ba93f57f388ac3ef6fc5469eec99487b7b368f789420d42"),
     (F25, "diag+tv",
      "9f43ddaf14462f60170e288b8b4a11abfcd673ab574da481668a45e4933429a0"),
+    (F25, "tv",
+     "93ac15bfdd5409131ebf80155013d2d6dcd7b489f4abec9f9aef7b0b9dd02a4f"),
     (F27, "sl(2)",
      "da0bc4c7286e1ed5f7788a5d865faea299f97fb4133ea9ec4c8d5276073a8ce2"),
     (F27, "swap+diag+tv",
      "664998f8ac866513a80e4c8f489c8ef2e421b1abf9fc1ad307f50624c210a395"),
     (F27, "diag+tv",
      "2d742f5bde71f01f5e52c5745eb2e88583903440dcc86fbba76814d458d48755"),
+    (F27, "tv",
+     "856e122964e7382aad6c0c4c8df07bffb2d001062ccf78eef1ddb98929dc08eb"),
     (F125, "sl(2)",
      "4d0d4b781559b4a112571a8bf2e1e9b4c320a94fbde1c2a2f17f65b4dc0f9144"),
     (F125, "swap+diag+tv",
      "11660ca80dae92483d23213b3163bd3b9886d0e4acc3518b05e9da5ee4128bd1"),
     (F125, "diag+tv",
      "0bb2ca6c021072e0293f0a1e148856b4129f816ea14f8fbdd796866c5636a7b8"),
+    (F125, "tv",
+     "a1cc599776d788cbd3cdbae0be8374fde5c49a4f680f28b0c17cd8a4d0252472"),
 ]
 
 
