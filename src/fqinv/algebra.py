@@ -325,10 +325,13 @@ def _product_table(field):
 def _digit_table(field):
     """R[a, i, k]: base-p digit k of t^i * a, for every raw a.  Times a is
     the e x e matrix R[a] over F_p on base-p digit rows (the regular
-    representation): digits(x * a) = digits(x) @ R[a] mod p."""
+    representation): digits(x * a) = digits(x) @ R[a] mod p.  Read-only,
+    since every caller shares it."""
     p, e = field.p, field.e
-    return np.array([[field.coeffs(field.mul(p ** i, a)) for i in range(e)]
-                     for a in range(field.q)], dtype=np.int64)
+    table = np.array([[field.coeffs(field.mul(p ** i, a)) for i in range(e)]
+                      for a in range(field.q)], dtype=np.int64)
+    table.flags.writeable = False
+    return table
 
 
 @lru_cache(maxsize=None)

@@ -152,14 +152,9 @@ def _nullspace(a, p):
         rows = live[lo:lo + _MOVE_ROWS]
         a[lo:lo + len(rows)] = a[rows]
     a = a[:len(live)]
-    m, k = a.shape
-    if m == 0 or k == 0:
-        return np.eye(k, dtype=np.int64)
     pivots = _eliminate(a, p)
-    free = np.ones(k, dtype=bool)
-    free[pivots] = False
-    free = np.nonzero(free)[0]
-    out = np.zeros((k, len(free)), dtype=np.int64)
+    free = np.delete(np.arange(a.shape[1]), pivots)
+    out = np.zeros((a.shape[1], len(free)), dtype=np.int64)
     out[free, np.arange(len(free))] = 1
     out[pivots] = (-a[:len(pivots), free]) % p
     return out
@@ -188,8 +183,7 @@ def _canonical_rows(a, field):
     e = field.e
     pivots = np.array(_eliminate(a, field.p), dtype=np.int64)
     rows = a[:len(pivots)][pivots % e == 0]
-    digits = rows.reshape(len(rows), a.shape[1] // e, e)
-    return digits @ field.p ** np.arange(e)
+    return rows.reshape(-1, a.shape[1] // e, e) @ field.p ** np.arange(e)
 
 
 def _rref_rows(rows, field):
@@ -223,9 +217,10 @@ def _split_generators(gens):
 
 @lru_cache(maxsize=None)
 def _product_array(field):
-    """algebra._product_table as a q x q array, for gathers."""
-    return np.array(algebra._product_table(field), np.int64).reshape(
-        field.q, field.q)
+    """algebra._product_table as a read-only q x q array, for gathers."""
+    table = np.array(algebra._product_table(field), np.int64)
+    table.flags.writeable = False
+    return table.reshape(field.q, field.q)
 
 
 def _monomial_permutation(field, exps, words, targets, scalars):
