@@ -9,10 +9,13 @@ multiple of one variable) permute the block's monomials up to scalars, so
 their common fixed vectors are the orbit sums whose scalars agree, one
 column per such orbit (the permutation-module basis of Derksen & Kemper,
 Computational Invariant Theory, section 3).  The other generators cut
-that kernel down one at a time by an exact dense elimination, from action
-columns built per block: the image of x^a dx_J is the product of the
-images of x^a and of dx_J, each computed once.  Every elimination runs
-over F_p on the base-p digits of F_q-vectors.
+that kernel down one at a time by an exact dense elimination, with the
+kernel kept factored as the orbit kernel times a small matrix.  Each
+generator's action on a block is one sparse matrix, the Kronecker product
+of its actions on the exterior words and on the monomials; the action on
+the degree-k monomials is built from that on degree k-1 in one vectorised
+step and cached per generator.  Every elimination runs over F_p on the
+base-p digits of F_q-vectors.
 
 The case table has one row per case kind.  A row ties the kind's group
 presentation to the free-module shape of its invariant ring (polynomial
@@ -107,16 +110,6 @@ _MATMUL_ROWS = 1024
 _MOVE_ROWS = 64
 
 
-def _expand(field, a):
-    """The digit form of the span of the raw columns of a: column c*e + i
-    of the (N*e, m*e) result holds the digits of t^i times column c."""
-    if field.e == 1:
-        return a
-    (n, m), e = a.shape, field.e
-    return algebra._digit_table(field)[a].transpose(0, 3, 1, 2).reshape(
-        n * e, m * e)
-
-
 def _eliminate(a, p):
     """Reduced row echelon form of the int64 array a over F_p, computed in
     a itself; returns the pivot columns, one per leading nonzero row."""
@@ -192,22 +185,35 @@ def _rref_rows(rows, field):
     a = np.array(rows, dtype=np.int64)
     if a.size == 0:
         return a
-    return _canonical_rows(np.ascontiguousarray(_expand(field, a.T).T), field)
+    # digit row r*e + i of the span holds the digits of t^i times row r
+    r, c = np.nonzero(a)
+    at, digits = _sparse_product(field, c, r, a[r, c], None, len(a) * field.e)
+    span = np.zeros((a.shape[1] * field.e, len(a) * field.e), dtype=np.int64)
+    span[at] = digits
+    return _canonical_rows(np.ascontiguousarray(span.T), field)
 
 
 # -- per-block solver --------------------------------------------------------
+#
+# A block's fixed vectors are kept factored as K0 M: K0 the orbit kernel of
+# the monomial generators, at most one entry per position, and M over F_p
+# on K0's digit columns.  A general generator g takes M to M N, N the
+# kernel of ((A_g - 1) K0) M with A_g sparse, so BLAS multiplies nothing
+# with more rows than K0 has columns.
+
+_SCATTER = 1 << 18          # output elements one scatter step forms
+_STEP_TABLES = 256          # cached step tables, one per (n, degree)
+_CACHED_GENERATORS = 64     # generators whose action levels stay cached
+
 
 def _split_generators(gens):
-    """(targets, scalars) of each monomial generator, one that maps every
-    variable to a scalar multiple of a single variable, and the other
-    generators, sparsest first."""
+    """The monomial generators, which map every variable to a scalar
+    multiple of a single variable, and the others, sparsest first."""
     monomial, general = [], []
     for pos, g in enumerate(gens):
-        rows = g.inverse_rows()
-        live = [[j for j, v in enumerate(r) if v] for r in rows]
+        live = [[j for j, v in enumerate(r) if v] for r in g.inverse_rows()]
         if all(len(js) == 1 for js in live):
-            monomial.append((tuple(js[0] + 1 for js in live),
-                             tuple(r[js[0]] for r, js in zip(rows, live))))
+            monomial.append(g)
         else:
             nnz_off = sum(j != i for i, js in enumerate(live) for j in js)
             general.append((nnz_off, pos, g))
@@ -223,52 +229,21 @@ def _product_array(field):
     return table.reshape(field.q, field.q)
 
 
-def _monomial_permutation(field, exps, words, targets, scalars):
-    """Index permutation and scalar twist of a monomial substitution on a
-    block whose position w*len(exps) + e holds x^exps[e] dx_words[w]: the
-    image of each exponent and of each word is computed once."""
-    n = len(targets)
-    exp_rank = {exp: e for e, exp in enumerate(exps)}
-    word_rank = {word: w for w, word in enumerate(words)}
-    eperm, escale = [], []
-    for exp in exps:
-        new_exp = [0] * n
-        s = field.one
-        for i, e in enumerate(exp):
-            if e:
-                new_exp[targets[i] - 1] += e
-                s = field.mul(s, field.pow_(scalars[i], e))
-        eperm.append(exp_rank[tuple(new_exp)])
-        escale.append(s)
-    wperm, wscale = [], []
-    for word in words:
-        images = [targets[i - 1] for i in word]
-        s = field.one
-        for i in word:
-            s = field.mul(s, scalars[i - 1])
-        if algebra._sort_sign(images) < 0:
-            s = field.neg(s)
-        wperm.append(word_rank[tuple(sorted(images))])
-        wscale.append(s)
-    eperm, escale = np.array(eperm, np.int64), np.array(escale, np.int64)
-    wperm, wscale = np.array(wperm, np.int64), np.array(wscale, np.int64)
-    perm = (wperm[:, None] * len(exps) + eperm).ravel()
-    scale = _product_array(field)[wscale[:, None], escale].ravel()
-    return perm, scale
-
-
 def _orbit_kernel(field, moves):
     """Fixed vectors of the group generated by scaled index permutations;
     (perm, scale) in `moves` sends basis vector i to scale[i] times basis
     vector perm[i].  A fixed vector v has v[perm[i]] = scale[i] * v[i], so
     on each orbit it is one multiple of the values those edges propagate
     from the orbit's first index.  An orbit gives a column when every edge
-    agrees with them and drops out otherwise."""
+    agrees with them and drops out otherwise.  Returns (column, value,
+    width): of the width columns, position i holds value[i] in column
+    column[i], or nothing where column[i] is -1."""
     size = len(moves[0][0])
     moves = [(perm.tolist(), scale.tolist()) for perm, scale in moves]
     prod, q = algebra._product_table(field), field.q
     value = [0] * size                        # 0: not reached yet
-    orbits = []
+    column = np.full(size, -1, dtype=np.int64)
+    width = 0
     for start in range(size):
         if value[start]:
             continue
@@ -285,114 +260,188 @@ def _orbit_kernel(field, moves):
                 elif value[j] != v:
                     agree = False
         if agree:
-            orbits.append(orbit)
-    out = np.zeros((size, len(orbits)), dtype=np.int64)
-    for col, orbit in enumerate(orbits):
-        out[orbit, col] = [value[i] for i in orbit]
-    return out
+            column[orbit] = width
+            width += 1
+    return column, np.array(value, dtype=np.int64), width
 
 
-def _general_columns(field, g, exps, words, needed):
-    """Sparse action columns of g, as (row indices, raw values), at the
-    requested positions of a block whose position w*len(exps) + e holds
-    x^exps[e] dx_words[w].  Its image is the product of the images of
-    x^exps[e] and of dx_words[w], and each of those is computed once."""
-    rows = algebra._raw_rows(field, len(exps[0]), g.inverse_rows())
-    mul = _product_array(field)
-    width = len(exps)
-    exp_rank = {exp: e for e, exp in enumerate(exps)}
-    word_rank = {word: w * width for w, word in enumerate(words)}
-    polys, ext_images = {}, {}
-    cols = {}
-    for pos in needed:
-        w, e = divmod(pos, width)
-        poly = polys.get(e)
-        if poly is None:
-            poly = polys[e] = _ranked(exp_rank, algebra._substitute_terms(
-                field, rows, {exps[e]: field.one}))
-        word = ext_images.get(w)
-        if word is None:
-            word = ext_images[w] = _ranked(word_rank, algebra._exterior_image(
-                field, rows, words[w]))
-        cols[pos] = ((word[0][:, None] + poly[0]).ravel(),
-                     mul[word[1][:, None], poly[1]].ravel())
-    return cols
+def _readonly(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
-def _ranked(rank, image):
-    """(rank of each key, raw) int64 arrays of a {key: raw} image."""
-    size = len(image)
-    return (np.fromiter(map(rank.__getitem__, image), np.int64, size),
-            np.fromiter(image.values(), np.int64, size))
+@lru_cache(maxsize=_STEP_TABLES)
+def _poly_steps(n, k):
+    """x_j times the degree-(k-1) monomial b is the degree-k monomial
+    up[j, b], in block order, with no sign (odd is False)."""
+    rank = {exp: i for i, exp in enumerate(_monomials(n, k))}
+    up = np.array([[rank[b[:j] + (b[j] + 1,) + b[j + 1:]]
+                    for b in _monomials(n, k - 1)] for j in range(n)])
+    return _readonly(up, np.zeros(up.shape, dtype=bool))
 
 
-def _image_product(field, cols, kernel):
-    """g applied to the digit kernel columns, from the sparse action
-    columns of the positions where the kernel is nonzero; the dense action
-    matrix is never formed.  Digit i of position pos moves to digit k of
-    row r by R[vals[r], i, k], R the digit table."""
-    e, digits = field.e, algebra._digit_table(field)
-    moved = np.zeros((kernel.shape[0] // e, e, kernel.shape[1]), np.int64)
-    for pos, (rows, vals) in cols.items():
-        block = digits[vals]
-        part = kernel[pos * e:(pos + 1) * e]
-        image = block[:, 0, :, None] * part[0]
-        for i in range(1, e):
-            image += block[:, i, :, None] * part[i]
-        # at most e*len(cols) products below p^2 per entry: no overflow
-        moved[rows] += image
-    moved %= field.p
-    return moved.reshape(kernel.shape)
+@lru_cache(maxsize=_STEP_TABLES)
+def _word_steps(n, r):
+    """dx_j wedge the length-(r-1) word K (0-based indices) is
+    (-1)^odd[j, K] times the word up[j, K], up -1 where K holds j."""
+    prev = list(combinations(range(n), r - 1))
+    rank = {word: i for i, word in enumerate(combinations(range(n), r))}
+    up = np.array([[-1 if j in K else rank[tuple(sorted(K + (j,)))]
+                    for K in prev] for j in range(n)])
+    odd = np.array([[sum(i < j for i in K) % 2 for K in prev]
+                    for j in range(n)], dtype=bool)
+    return _readonly(up, odd)
 
 
-def _apply_generator(field, exps, words, kernel, g):
-    """Digit columns of the fixed vectors of g inside the span of the
-    kernel columns, or inside the whole block when kernel is None."""
-    size, e, p = len(exps) * len(words), field.e, field.p
-    if kernel is None:
-        needed = range(size)
-    else:
-        needed = np.nonzero(kernel.reshape(size, -1).any(axis=1))[0].tolist()
-    cols = _general_columns(field, g, exps, words, needed)
-    if kernel is None:
-        # the action matrix minus the identity, eliminated in place
-        mat = np.zeros((size, e, size * e), dtype=np.int64)
-        digits = algebra._digit_table(field)
-        for pos, (rows, vals) in cols.items():
-            block = digits[vals].transpose(0, 2, 1)
-            mat[rows, :, pos * e:(pos + 1) * e] = block
-        mat = mat.reshape(size * e, size * e)
-        diag = np.arange(size * e)
-        mat[diag, diag] = (mat[diag, diag] - 1) % p
-        return _nullspace(mat, p)
-    moved = _image_product(field, cols, kernel)
-    moved -= kernel
-    moved %= p
-    reduction = _nullspace(moved, p)
-    del moved
-    return _matmul_mod(kernel, reduction, p)
+def _sum_duplicates(field, keys, raws):
+    """Distinct keys, ascending, and the F_q sums of their raws, zero sums
+    dropped; F_q addition is base-p digit addition mod p."""
+    if not len(keys):
+        return keys, raws
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    digits = algebra._digit_table(field)[raws[order], 0]
+    sums = np.add.reduceat(digits, starts) % field.p @ field.p ** np.arange(
+        field.e)
+    return keys[starts][sums != 0], sums[sums != 0]
+
+
+@lru_cache(maxsize=_CACHED_GENERATORS)
+def _levels(field, rows, exterior):
+    """The levels of one generator's action built so far, level 0 first."""
+    one = np.ones(1, dtype=np.int64)
+    return [_readonly(one - 1, one - 1, one)]
+
+
+def _level(field, rows, k, exterior):
+    """The action of x_i -> sum_j rows[i][j] x_j (raw rows) on the
+    degree-k monomials, or of dx_i -> sum_j rows[i][j] dx_j on the
+    length-k words, as read-only F_q entries (rows, cols, raws) sorted by
+    column, then row, in block order.  For x^a = x_i x^b, i least, column
+    a is (sum_j rows[i][j] x_j) times column b of level k-1, so each level
+    is one vectorised step from the one below, built once per generator."""
+    levels = _levels(field, rows, exterior)
+    coef, mul = np.array(rows, dtype=np.int64), _product_array(field)
+    while len(levels) <= k:
+        up, odd = (_word_steps if exterior else _poly_steps)(len(rows),
+                                                             len(levels))
+        size = int(up.max()) + 1
+        first, parent = np.empty(size, np.int64), np.empty(size, np.int64)
+        for j in reversed(range(len(rows))):     # the least j stays
+            b = np.flatnonzero(up[j] >= 0)
+            first[up[j, b]], parent[up[j, b]] = j, b
+        prev_rows, prev_cols, prev_raws = levels[-1]
+        ptr = np.searchsorted(prev_cols, np.arange(up.shape[1] + 1))
+        counts = ptr[parent + 1] - ptr[parent]
+        col = np.repeat(np.arange(size), counts)
+        at = np.arange(len(col)) + np.repeat(
+            ptr[parent] - np.cumsum(counts) + counts, counts)
+        b, v, lead = prev_rows[at], prev_raws[at], first[col]
+        keys, raws = [], []
+        for j in range(len(rows)):
+            to, c = up[j, b], coef[lead, j]
+            keep = (to >= 0) & (c != 0)
+            prod = mul[c[keep], v[keep]]
+            keys.append(col[keep] * size + to[keep])
+            raws.append(np.where(odd[j, b[keep]], mul[field.p - 1, prod], prod))
+        key, raw = _sum_duplicates(field, np.concatenate(keys),
+                                   np.concatenate(raws))
+        levels.append(_readonly(key % size, key // size, raw))
+    return levels[k]
+
+
+def _block_action(field, g, k, r):
+    """g's action on the block whose position w*len(exps) + a holds
+    x^exps[a] dx_words[w], as F_q entries (rows, cols, raws): the
+    Kronecker product of its actions on the words and on the monomials."""
+    rows = tuple(algebra._raw_rows(field, g.n, g.inverse_rows()))
+    poly_rows, poly_cols, poly_raws = _level(field, rows, k, False)
+    word_rows, word_cols, word_raws = _level(field, rows, r, True)
+    width = math.comb(k + g.n - 1, g.n - 1)
+    return ((word_rows[:, None] * width + poly_rows).ravel(),
+            (word_cols[:, None] * width + poly_cols).ravel(),
+            _product_array(field)[word_raws[:, None], poly_raws].ravel())
+
+
+def _monomial_permutation(field, g, k, r):
+    """Index permutation and scalar twist of a monomial generator on the
+    block: g sends position i to scale[i] times position perm[i]."""
+    rows, cols, raws = _block_action(field, g, k, r)
+    perm, scale = np.empty_like(rows), np.empty_like(raws)
+    perm[cols], scale[cols] = rows, raws
+    return perm, scale
+
+
+def _moved(field, g, k, r, k0):
+    """(A_g - 1) K0 as F_q entries (rows, cols, raws), for g's block action
+    A_g and the orbit kernel K0 = (column, value, width)."""
+    column, value, width = k0
+    rows, cols, raws = _block_action(field, g, k, r)
+    diag = np.arange(len(column))
+    rows, cols = np.concatenate((rows, diag)), np.concatenate((cols, diag))
+    raws = np.concatenate((raws, np.full(len(diag), field.p - 1)))  # -1
+    keep = column[cols] >= 0
+    rows, cols, raws = rows[keep], cols[keep], raws[keep]
+    key, raws = _sum_duplicates(field, rows * width + column[cols],
+                                _product_array(field)[raws, value[cols]])
+    return key // width, key % width, raws
+
+
+def _sparse_product(field, rows, cols, raws, m, width):
+    """The F_q entries (rows, cols, raws) in digit form, times the F_p
+    array m (None: the identity on `width` columns), on the digit rows
+    that hold an entry; returns those rows and the product.  Entries of
+    one rank within their row hit distinct rows, so a fancy += over them
+    is exact; it forms _SCATTER output elements at a time."""
+    digits = algebra._digit_table(field)[raws]   # entry, i, k: t^i -> k
+    entry, i, k = np.nonzero(digits)
+    order = np.argsort(rows[entry] * field.e + k, kind="stable")
+    entry, i, k = entry[order], i[order], k[order]
+    rows, cols = rows[entry] * field.e + k, cols[entry] * field.e + i
+    vals = digits[entry, i, k]
+    new = np.diff(rows, prepend=-1) != 0
+    slot = np.cumsum(new) - 1
+    out = np.zeros((np.count_nonzero(new),
+                    width if m is None else m.shape[1]), dtype=np.int64)
+    if m is None:
+        out[slot, cols] = vals
+        return rows[new], out
+    rank = np.arange(len(rows)) - np.flatnonzero(new)[slot]
+    order = np.argsort(rank, kind="stable")
+    cuts = np.sort(np.concatenate((np.cumsum(np.bincount(rank)), np.arange(
+        0, len(rank), _SCATTER // max(1, out.shape[1]) + 1))))
+    for lo, hi in zip(cuts[:-1], cuts[1:]):     # each within one rank
+        pick = order[lo:hi]
+        # at most len(rows) products below p^2 per entry: no overflow
+        out[slot[pick]] += vals[pick, None] * m[cols[pick]]
+    return rows[new], out % field.p
 
 
 def _block_kernel(field, n, gens, k, r):
-    """Basis and fixed vectors, as digit columns, of the (poly degree, ext
-    length) block: the orbit kernel of the monomial generators, cut down
-    by the others one at a time."""
-    exps = list(_monomials(n, k))
-    words = list(combinations(range(1, n + 1), r))
-    basis = [(exp, ext) for ext in words for exp in exps]
+    """Basis and fixed vectors of the (poly degree, ext length) block, as
+    (K0, M): K0 = (column, value, width) the orbit kernel of the monomial
+    generators (the identity if there is none), M the digit columns, over
+    those of K0, left after the other generators cut the kernel down one
+    at a time (None until one has)."""
+    basis = [(exp, ext) for ext in combinations(range(1, n + 1), r)
+             for exp in _monomials(n, k)]
     monomial, general = _split_generators(gens)
-    kernel = None
+    k0 = (np.arange(len(basis)), np.ones(len(basis), np.int64), len(basis))
     if monomial:
-        kernel = _expand(field, _orbit_kernel(field, [
-            _monomial_permutation(field, exps, words, targets, scalars)
-            for targets, scalars in monomial]))
+        k0 = _orbit_kernel(field, [_monomial_permutation(field, g, k, r)
+                                   for g in monomial])
+    m = None
     for g in general:
-        if kernel is not None and kernel.shape[1] == 0:
+        width = k0[2] * field.e if m is None else m.shape[1]
+        if width == 0:
             break
-        kernel = _apply_generator(field, exps, words, kernel, g)
-    if kernel is None:
-        kernel = np.eye(len(basis) * field.e, dtype=np.int64)
-    return basis, kernel
+        _, moved = _sparse_product(field, *_moved(field, g, k, r, k0), m, width)
+        reduction = _nullspace(moved, field.p)
+        del moved
+        m = reduction if m is None else _matmul_mod(m, reduction, field.p)
+    return basis, k0, m
 
 
 def _resolve_group(group):
@@ -423,8 +472,8 @@ def fixed_dim(group, d: int, exterior_degree=None) -> int:
     for k, r in _block_shapes(n, d):
         if exterior_degree is not None and r != exterior_degree:
             continue
-        _, kernel = _block_kernel(field, n, gens, k, r)
-        total += kernel.shape[1] // field.e
+        _, k0, m = _block_kernel(field, n, gens, k, r)
+        total += k0[2] if m is None else m.shape[1] // field.e
     return total
 
 
@@ -443,8 +492,12 @@ def fixed_basis(group, d: int):
     full_basis = []
     dims = 0
     for k, r in _block_shapes(n, d):
-        basis, kernel = _block_kernel(field, n, gens, k, r)
-        blocks.append((offset * field.e, kernel))
+        basis, (column, value, width), m = _block_kernel(field, n, gens, k, r)
+        pos = np.flatnonzero(column >= 0)
+        # the digit kernel K0 M, on the digit rows where K0 has an entry
+        at, kernel = _sparse_product(field, pos, column[pos], value[pos], m,
+                                     width * field.e)
+        blocks.append((offset * field.e + at, kernel))
         offset += len(basis)
         full_basis.extend(basis)
         dims += kernel.shape[1]
@@ -452,9 +505,9 @@ def fixed_basis(group, d: int):
         return []
     rows = np.zeros((dims, offset * field.e), dtype=np.int64)
     at = 0
-    for start, kernel in blocks:
-        size, width = kernel.shape
-        rows[at:at + width, start:start + size] = kernel.T
+    for digit_rows, kernel in blocks:
+        width = kernel.shape[1]
+        rows[at:at + width, digit_rows] = kernel.T
         at += width
     rows = _canonical_rows(rows, field)
     out = []

@@ -3,11 +3,12 @@
 import hashlib
 import json
 import math
+import random
 from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, seed, settings
+from hypothesis import HealthCheck, assume, given, seed, settings
 from hypothesis import strategies as st
 
 from fqinv import (
@@ -45,6 +46,7 @@ from fqinv.errors import (
     InvalidModuleDescription,
     NegativeDegree,
     NotApplicable,
+    SingularMatrix,
     UnknownCase,
 )
 
@@ -260,6 +262,49 @@ def test_fixed_dim_matches_dense_elimination_on_random_groups(field, data):
         assert fixed_dim(gens, d) == _dense_fixed_dim(gens, d), d
 
 
+def full_invertible(field, n, draw_raw):
+    """An invertible matrix with no zero entry, its raws drawn by
+    draw_raw(lo, hi); None when the draw is singular."""
+    g = GroupMatrix(field, [[field.from_raw(draw_raw(1, field.q - 1))
+                             for _ in range(n)] for _ in range(n)])
+    try:
+        g.inverse_rows()
+    except SingularMatrix:
+        return None
+    return g
+
+
+@st.composite
+def dense_presentations(draw, field):
+    """A matrix with full rows, so that every variable moves to a sum of
+    all of them: alone, with no monomial generator (the orbit kernel is
+    the identity), or next to a diagonal with an entry other than 1."""
+    n = draw(st.integers(2, 3), label="n")
+    g = full_invertible(field, n,
+                        lambda lo, hi: draw(st.integers(lo, hi)))
+    assume(g is not None)
+    if not draw(st.booleans(), label="diagonal"):
+        return [g]
+    entries = [field.from_raw(draw(st.integers(2, field.q - 1)))] + \
+        [field.from_raw(draw(st.integers(1, field.q - 1)))
+         for _ in range(n - 1)]
+    return draw(st.permutations([g, diagonal(field, entries)]))
+
+
+@pytest.mark.parametrize("field", ALL_FIELDS, ids=repr)
+@seed(20261018)
+@SETTINGS
+@given(data=st.data())
+def test_dense_generators_match_dense_elimination(field, data):
+    gens = data.draw(dense_presentations(field), label="gens")
+    for d in range(6 if gens[0].n == 2 else 5):
+        dim = fixed_dim(gens, d)
+        assert dim == _dense_fixed_dim(gens, d), d
+        vecs = fixed_basis(gens, d)
+        assert len(vecs) == dim
+        assert all(is_invariant(v, gens) for v in vecs)
+
+
 def reference_columns(field, n, g, basis, index, needed):
     """Action columns of g as {row: raw}, one tensor_act per basis
     position."""
@@ -290,20 +335,77 @@ def _blocks(n, d_max):
     (case_group("e6_4"), 12),
     (case_group("e8_p5_3"), 14),
     (gens_standard("gl", 3, F9), 12),
-], ids=["e6_4", "e8_p5_3", "gl(3,9)"])
+    (gens_standard("gl", 3, F25), 8),
+    (gens_standard("sl", 2, F125), 10),
+], ids=["e6_4", "e8_p5_3", "gl(3,9)", "gl(3,25)", "sl(2,125)"])
 def test_block_columns_match_tensor_act(pres, d_max):
     field, n = pres.field, pres.n
     _, general = fixedpoint._split_generators(pres.generators)
     assert general
     for exps, words, basis, index in _blocks(n, d_max):
+        k, r = sum(exps[0]), len(words[0])
         for g in general:
-            got = fixedpoint._general_columns(field, g, exps, words,
-                                              range(len(basis)))
-            want = reference_columns(field, n, g, basis, index,
-                                     range(len(basis)))
-            assert got.keys() == want.keys()
-            for pos, (rows, vals) in got.items():
-                assert dict(zip(rows.tolist(), vals.tolist())) == want[pos]
+            rows, cols, raws = fixedpoint._block_action(field, g, k, r)
+            assert len(set(zip(rows.tolist(), cols.tolist()))) == len(rows)
+            got = {}
+            for row, col, raw in zip(rows.tolist(), cols.tolist(),
+                                     raws.tolist()):
+                got.setdefault(col, {})[row] = raw
+            assert got == reference_columns(field, n, g, basis, index,
+                                            range(len(basis)))
+
+
+def level_entries(level):
+    """{(row, col): raw} of an action level, checking its order."""
+    rows, cols, raws = (a.tolist() for a in level)
+    assert sorted(zip(cols, rows)) == list(zip(cols, rows))
+    return {(row, col): raw for row, col, raw in zip(rows, cols, raws)}
+
+
+@pytest.mark.parametrize("field", ALL_FIELDS, ids=repr)
+def test_action_levels_match_per_monomial_substitution(field):
+    # each level is built from the one below; the per-monomial
+    # substitution and the per-word exterior image are the oracles
+    rng = random.Random(field.q)
+    n = 3
+    gens = [transvection(field, n, 1, 2, field.from_raw(field.q - 1))]
+    while len(gens) < 4:
+        g = full_invertible(field, n, rng.randint)
+        if g is not None:
+            gens.append(g)
+    for g in gens:
+        rows = tuple(algebra._raw_rows(field, n, g.inverse_rows()))
+        for k in range(8):
+            exps = list(fixedpoint._monomials(n, k))
+            rank = {exp: i for i, exp in enumerate(exps)}
+            want = {(rank[exp2], a): raw for a, exp in enumerate(exps)
+                    for exp2, raw in algebra._substitute_terms(
+                        field, rows, {exp: field.one}).items()}
+            assert level_entries(fixedpoint._level(field, rows, k, False)) \
+                == want, k
+        for r in range(n + 1):
+            words = list(combinations(range(1, n + 1), r))
+            rank = {word: i for i, word in enumerate(words)}
+            want = {(rank[word2], w): raw for w, word in enumerate(words)
+                    for word2, raw in algebra._exterior_image(
+                        field, rows, word).items()}
+            assert level_entries(fixedpoint._level(field, rows, r, True)) \
+                == want, r
+
+
+def test_cached_actions_are_read_only_and_bounded():
+    g = transvection(F9, 3, 1, 2, F9.from_raw(3))
+    rows = tuple(algebra._raw_rows(F9, 3, g.inverse_rows()))
+    cached = [*fixedpoint._level(F9, rows, 4, False),
+              *fixedpoint._level(F9, rows, 2, True),
+              *fixedpoint._poly_steps(3, 4), *fixedpoint._word_steps(3, 2),
+              algebra._digit_table(F9), fixedpoint._product_array(F9)]
+    for a in cached:
+        with pytest.raises(ValueError):
+            a[...] = 0
+    for cache in (fixedpoint._levels, fixedpoint._poly_steps,
+                  fixedpoint._word_steps):
+        assert cache.cache_info().maxsize is not None
 
 
 def reference_cycle_kernel(field, perm, scale):
@@ -346,20 +448,27 @@ def test_orbit_kernel_of_one_generator_spans_its_cycle_kernel(gens, d_max):
     monomial, _ = fixedpoint._split_generators(gens)
     assert len(monomial) >= 2
     for exps, words, _, _ in _blocks(n, d_max):
-        for targets, scalars in monomial:
-            move = fixedpoint._monomial_permutation(field, exps, words,
-                                                    targets, scalars)
-            got = fixedpoint._orbit_kernel(field, [move])
+        for g in monomial:
+            move = fixedpoint._monomial_permutation(field, g, sum(exps[0]),
+                                                    len(words[0]))
+            column, value, width = fixedpoint._orbit_kernel(field, [move])
+            got = np.zeros((len(column), width), dtype=np.int64)
+            kept = np.flatnonzero(column >= 0)
+            got[kept, column[kept]] = value[kept]
             want = reference_cycle_kernel(field, *move)
             assert got.shape == want.shape
             assert np.array_equal(fixedpoint._rref_rows(got.T, field),
                                   fixedpoint._rref_rows(want.T, field))
 
 
-def reference_monomial_permutation(field, basis, index, targets, scalars):
+def reference_monomial_permutation(field, basis, index, g):
     """Index permutation and scalar twist of a monomial substitution, one
     basis position at a time."""
-    n = len(targets)
+    rows = g.inverse_rows()
+    n = len(rows)
+    js = [next(j for j, v in enumerate(row) if v) for row in rows]
+    targets = [j + 1 for j in js]
+    scalars = [row[j] for row, j in zip(rows, js)]
     perm = np.empty(len(basis), dtype=np.int64)
     scale = np.empty(len(basis), dtype=np.int64)
     for pos, (exp, ext) in enumerate(basis):
@@ -390,11 +499,11 @@ def test_monomial_permutation_matches_per_position_loop(gens, d_max):
     monomial, _ = fixedpoint._split_generators(gens)
     assert monomial
     for exps, words, basis, index in _blocks(n, d_max):
-        for targets, scalars in monomial:
+        for g in monomial:
             perm, scale = fixedpoint._monomial_permutation(
-                field, exps, words, targets, scalars)
+                field, g, sum(exps[0]), len(words[0]))
             want_perm, want_scale = reference_monomial_permutation(
-                field, basis, index, targets, scalars)
+                field, basis, index, g)
             assert np.array_equal(perm, want_perm)
             assert np.array_equal(scale, want_scale)
 
