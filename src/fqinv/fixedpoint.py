@@ -310,7 +310,8 @@ def _sum_duplicates(field, keys, raws):
 
 @lru_cache(maxsize=_CACHED_GENERATORS)
 def _levels(field, rows, exterior):
-    """The levels of one generator's action built so far, level 0 first."""
+    """The levels of one generator's action built so far, level 0 first;
+    _level appends to the list."""
     one = np.ones(1, dtype=np.int64)
     return [_readonly(one - 1, one - 1, one)]
 
@@ -353,9 +354,10 @@ def _level(field, rows, k, exterior):
 
 
 def _block_action(field, g, k, r):
-    """g's action on the block whose position w*len(exps) + a holds
-    x^exps[a] dx_words[w], as F_q entries (rows, cols, raws): the
-    Kronecker product of its actions on the words and on the monomials."""
+    """g's action on the (k, r) block, whose position w*len(exps) + a holds
+    x^exps[a] dx_words[w] (exps = _monomials(n, k), words the length-r
+    words in order), as F_q entries (rows, cols, raws): the Kronecker
+    product of its actions on the words and on the monomials."""
     rows = tuple(algebra._raw_rows(field, g.n, g.inverse_rows()))
     poly_rows, poly_cols, poly_raws = _level(field, rows, k, False)
     word_rows, word_cols, word_raws = _level(field, rows, r, True)
@@ -397,10 +399,9 @@ def _sparse_product(field, rows, cols, raws, m, width):
     is exact; it forms _SCATTER output elements at a time."""
     digits = algebra._digit_table(field)[raws]   # entry, i, k: t^i -> k
     entry, i, k = np.nonzero(digits)
-    order = np.argsort(rows[entry] * field.e + k, kind="stable")
-    entry, i, k = entry[order], i[order], k[order]
     rows, cols = rows[entry] * field.e + k, cols[entry] * field.e + i
-    vals = digits[entry, i, k]
+    order = np.argsort(rows, kind="stable")
+    rows, cols, vals = rows[order], cols[order], digits[entry, i, k][order]
     new = np.diff(rows, prepend=-1) != 0
     slot = np.cumsum(new) - 1
     out = np.zeros((np.count_nonzero(new),
