@@ -203,7 +203,7 @@ def _rref_rows(rows, field):
 
 _SCATTER = 1 << 18          # output elements one scatter step forms
 _STEP_TABLES = 256          # cached step tables, one per (n, degree)
-_CACHED_GENERATORS = 64     # generators whose action levels stay cached
+_CACHED_ACTIONS = 512       # generator actions on words or monomials kept
 
 
 def _split_generators(gens):
@@ -308,7 +308,7 @@ def _sum_duplicates(field, keys, raws):
     return keys[starts][sums != 0], sums[sums != 0]
 
 
-@lru_cache(maxsize=_CACHED_GENERATORS)
+@lru_cache(maxsize=_CACHED_ACTIONS)
 def _levels(field, rows, exterior):
     """The levels of one generator's action built so far, level 0 first;
     _level appends to the list."""
@@ -358,9 +358,8 @@ def _block_action(field, g, k, r):
     x^exps[a] dx_words[w] (exps = _monomials(n, k), words the length-r
     words in order), as F_q entries (rows, cols, raws): the Kronecker
     product of its actions on the words and on the monomials."""
-    rows = tuple(algebra._raw_rows(field, g.n, g.inverse_rows()))
-    poly_rows, poly_cols, poly_raws = _level(field, rows, k, False)
-    word_rows, word_cols, word_raws = _level(field, rows, r, True)
+    poly_rows, poly_cols, poly_raws = _level(field, g.inverse_rows(), k, False)
+    word_rows, word_cols, word_raws = _level(field, g.inverse_rows(), r, True)
     width = math.comb(k + g.n - 1, g.n - 1)
     return ((word_rows[:, None] * width + poly_rows).ravel(),
             (word_cols[:, None] * width + poly_cols).ravel(),
@@ -441,7 +440,10 @@ def _block_kernel(field, n, gens, k, r):
         _, moved = _sparse_product(field, *_moved(field, g, k, r, k0), m, width)
         reduction = _nullspace(moved, field.p)
         del moved
-        m = reduction if m is None else _matmul_mod(m, reduction, field.p)
+        if m is None:
+            m = reduction
+        elif reduction.shape[1] < width:      # else g fixes all of M
+            m = _matmul_mod(m, reduction, field.p)
     return basis, k0, m
 
 
