@@ -315,32 +315,12 @@ _LANE_BITS = 16              # narrowest coordinate lane
 
 
 @lru_cache(maxsize=None)
-def _product_table(field):
-    """Raw products a*b at index a*q + b."""
-    q = field.q
-    return [field.mul(a, b) for a in range(q) for b in range(q)]
-
-
-@lru_cache(maxsize=None)
-def _digit_table(field):
-    """R[a, i, k]: base-p digit k of t^i * a, for every raw a.  Times a is
-    the e x e matrix R[a] over F_p on base-p digit rows (the regular
-    representation): digits(x * a) = digits(x) @ R[a] mod p.  Read-only,
-    since every caller shares it."""
-    p, e = field.p, field.e
-    table = np.array([[field.coeffs(field.mul(p ** i, a)) for i in range(e)]
-                      for a in range(field.q)], dtype=np.int64)
-    table.flags.writeable = False
-    return table
-
-
-@lru_cache(maxsize=None)
 def _lane_table(field, lane):
     """Products of raws a*b at index a*q + b, their coordinates spread
     into lanes of `lane` bits."""
     spread = [sum(c << (i * lane) for i, c in enumerate(field.coeffs(v)))
               for v in range(field.q)]
-    return [spread[v] for v in _product_table(field)]
+    return [spread[v] for v in field.mul_table]
 
 
 @lru_cache(maxsize=None)
@@ -524,7 +504,8 @@ def _mul_terms(field, a, b):
 
 
 def _compositions(total, parts):
-    """Every tuple of `parts` non-negative ints summing to `total`."""
+    """Every tuple of `parts` non-negative ints summing to `total`, in
+    descending lexicographic order."""
     if parts == 1:
         yield (total,)
         return
@@ -588,7 +569,7 @@ def _substitute_terms(field, rows, terms):
     lane = max(_LANE_BITS, (bound * (field.p - 1)).bit_length())
     table = _lane_table(field, lane)
     spread = table[q:2 * q]                   # lanes of raw v at v*q + 1
-    prod = _product_table(field)
+    prod = field.mul_table
     fpow = field.pow_
     out = {}
     get = out.get
@@ -903,12 +884,7 @@ def _merge_ext(I, J):
     """Koszul sign and merged word for dx_I ^ dx_J; None if they clash."""
     if I and J and set(I) & set(J):
         return None
-    inv = 0
-    for i in I:
-        for j in J:
-            if i > j:
-                inv += 1
-    return (-1 if inv & 1 else 1, tuple(sorted(I + J)))
+    return _sort_sign(I + J), tuple(sorted(I + J))
 
 
 def _sort_sign(seq):

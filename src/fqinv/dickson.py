@@ -25,7 +25,7 @@ from __future__ import annotations
 from functools import lru_cache, reduce
 from itertools import combinations, permutations, product
 
-from .algebra import Polynomial, TensorElement, exact_divide
+from .algebra import Polynomial, TensorElement, _sort_sign, exact_divide
 from .errors import (
     ArityTooSmall,
     DegreeMismatch,
@@ -74,11 +74,6 @@ def dickson_c(field: FieldSpec, n: int, i: int) -> Polynomial:
     return exact_divide(numer, dickson_e(field, n))
 
 
-def _with_x(field, n):
-    """Index of the adjoined variable X in the n+1 variable algebra."""
-    return n + 1
-
-
 def _span_product(field, N, lead, span) -> Polynomial:
     """Product of x_lead + sum_t a_t x_{span[t]} over all raw vectors a,
     q factors (one coset) at a time; see the module docstring."""
@@ -105,7 +100,7 @@ def f_poly(field: FieldSpec, n: int, method: str = "recursive") -> Polynomial:
         raise ArityTooSmall("need n >= 1")
     q = field.q
     N = n + 1
-    X = _with_x(field, n)
+    X = N                                     # the adjoined variable, last
     if method == "product":
         if q ** n > _PRODUCT_CAP:
             raise ProductTooLarge(f"q^n = {q ** n} exceeds {_PRODUCT_CAP}")
@@ -185,16 +180,7 @@ def mui_det(field: FieldSpec, i_list, k: int = None) -> Polynomial:
         raise DegreeMismatch("k must equal the number of row exponents")
     if any(i < 0 for i in i_list):
         raise IndexOutOfRange(f"negative exponent index in {i_list}")
-    q = field.q
-    total = Polynomial.zero(field, k)
-    for perm in permutations(range(k)):
-        inv = sum(1 for a in range(k) for b in range(a + 1, k)
-                  if perm[a] > perm[b])
-        term = Polynomial.one(field, k)
-        for row, col in enumerate(perm):
-            term = term * Polynomial.variable(field, k, col + 1, q ** i_list[row])
-        total = total + (-term if inv & 1 else term)
-    return total
+    return _det_on_columns(field, k, i_list, range(1, k + 1))
 
 
 def _det_on_columns(field, n, i_list, cols) -> Polynomial:
@@ -202,13 +188,11 @@ def _det_on_columns(field, n, i_list, cols) -> Polynomial:
     k = len(cols)
     total = Polynomial.zero(field, n)
     for perm in permutations(range(k)):
-        inv = sum(1 for a in range(k) for b in range(a + 1, k)
-                  if perm[a] > perm[b])
         term = Polynomial.one(field, n)
         for row in range(k):
             term = term * Polynomial.variable(field, n, cols[perm[row]],
                                               q ** i_list[row])
-        total = total + (-term if inv & 1 else term)
+        total = total + (-term if _sort_sign(perm) < 0 else term)
     return total
 
 

@@ -6,16 +6,26 @@ monic modulus, little-endian in base p:
 
     raw = c_0 + c_1*p + c_2*p^2   <->   c_0 + c_1*t + c_2*t^2
 
-For e = 1 the raw value is simply the residue mod p.  All hot loops in
-the library work on raw ints through the FieldSpec methods; FieldElement
-is a thin operator-overloading wrapper for convenience and for the
-public API.
+A prime field is the case e = 1, with no t.  Each FieldSpec builds one
+set of tables, all from the regular representation (Lidl & Niederreiter,
+Finite Fields, ch. 2): digit_table[a, i] holds the base-p digits of
+t^i * a, so times a is the e x e matrix digit_table[a] over F_p acting on
+digit rows.  A few numpy operations on it give the sum, negation and
+product tables, and the exponent and logarithm tables of the least raw of
+order q - 1, from which come inverses and powers.  So every raw operation
+is one table lookup, for prime and extension fields alike, and no other
+module builds a field table: they read these, which are tuples or
+read-only arrays.  All hot loops in the library work on raw ints through
+the FieldSpec methods; FieldElement is a thin operator-overloading
+wrapper for convenience and for the public API.
 
 Keeping e <= 3 means irreducibility of the modulus is equivalent to
 having no root in F_p, which make_field checks exhaustively.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from .errors import (
     ArityMismatch,
@@ -88,29 +98,46 @@ def make_field(p: int, e: int = 1, modulus=None) -> "FieldSpec":
 class FieldSpec:
     """Field description plus raw-int arithmetic.  Immutable once built."""
 
-    __slots__ = ("p", "e", "q", "modulus", "_mul", "_inv")
+    __slots__ = ("p", "e", "q", "modulus", "digit_table", "product_array",
+                 "mul_table", "_add", "_neg", "_inv", "_exp", "_log",
+                 "_coeffs")
 
     def __init__(self, p: int, e: int, modulus):
         self.p = p
         self.e = e
-        self.q = p ** e
+        self.q = q = p ** e
         self.modulus = modulus  # tuple of e+1 ints, or None for e = 1
-        if e == 1:
-            self._mul = None
-            self._inv = None
-        else:
-            self._mul = self._build_mul_table()
-            self._inv = self._build_inv_table()
-
-    # -- construction of the e > 1 tables ------------------------------
-
-    def _coeffs_of(self, raw: int):
-        p = self.p
-        out = []
-        for _ in range(self.e):
-            out.append(raw % p)
-            raw //= p
-        return out
+        place = p ** np.arange(e)
+        digits = np.arange(q)[:, None] // place % p
+        # regular[a, i]: the digits of t^i * a; times t is a shift, less
+        # the top digit times the modulus
+        regular = np.empty((q, e, e), dtype=np.int64)
+        regular[:, 0] = digits
+        for i in range(1, e):
+            prev = regular[:, i - 1]
+            shifted = np.concatenate((0 * prev[:, :1], prev[:, :-1]), axis=1)
+            regular[:, i] = (shifted - prev[:, -1:] * modulus[:e]) % p
+        products = (digits @ regular) % p @ place
+        # powers[k, a] = a^k, k < q - 1: the least raw a > 0 whose powers
+        # hit 1 only at k = 0 has order q - 1
+        powers = np.ones((q - 1, q), dtype=np.int64)
+        for k in range(1, q - 1):
+            powers[k] = products[powers[k - 1], np.arange(q)]
+        exp = powers[:, 1 + np.argmin((powers[1:, 1:] == 1).any(axis=0))]
+        log, inv = np.zeros(q, dtype=np.int64), np.zeros(q, dtype=np.int64)
+        log[exp] = np.arange(q - 1)
+        inv[exp] = exp[-np.arange(q - 1)]
+        regular.flags.writeable = products.flags.writeable = False
+        self.digit_table = regular
+        self.product_array = products
+        self.mul_table = tuple(products.ravel().tolist())
+        self._add = tuple(((digits[:, None] + digits) % p @ place).ravel()
+                          .tolist())
+        self._neg = tuple((-digits % p @ place).tolist())
+        self._inv = tuple(inv.tolist())
+        self._exp = tuple(exp.tolist())
+        self._log = tuple(log.tolist())
+        self._coeffs = tuple(map(tuple, digits.tolist()))
 
     def _raw_of(self, coeffs) -> int:
         raw = 0
@@ -118,48 +145,7 @@ class FieldSpec:
             raw = raw * self.p + (c % self.p)
         return raw
 
-    def _poly_mul_mod(self, a, b):
-        p, e = self.p, self.e
-        prod = [0] * (2 * e - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    prod[i + j] = (prod[i + j] + ai * bj) % p
-        # reduce by the monic modulus
-        for i in range(len(prod) - 1, e - 1, -1):
-            c = prod[i]
-            if c:
-                prod[i] = 0
-                for j in range(e):
-                    prod[i - e + j] = (prod[i - e + j] - c * self.modulus[j]) % p
-        return prod[:e]
-
-    def _build_mul_table(self):
-        q = self.q
-        table = [0] * (q * q)
-        coeffs = [self._coeffs_of(v) for v in range(q)]
-        for a in range(q):
-            row = a * q
-            for b in range(a, q):
-                v = self._raw_of(self._poly_mul_mod(coeffs[a], coeffs[b]))
-                table[row + b] = v
-                table[b * q + a] = v
-        return table
-
-    def _build_inv_table(self):
-        q = self.q
-        inv = [0] * q
-        for a in range(1, q):
-            if inv[a]:
-                continue
-            for b in range(1, q):
-                if self._mul[a * q + b] == 1:
-                    inv[a] = b
-                    inv[b] = a
-                    break
-        return inv
-
-    # -- raw arithmetic ------------------------------------------------
+    # -- raw arithmetic: one table lookup each --------------------------
 
     @property
     def zero(self) -> int:
@@ -169,63 +155,37 @@ class FieldSpec:
     def one(self) -> int:
         return 1
 
+    @property
+    def primitive(self) -> int:
+        """The least raw of order q - 1, the base of the log table."""
+        return self._exp[1]
+
     def add(self, a: int, b: int) -> int:
-        p = self.p
-        if self.e == 1:
-            return (a + b) % p
-        out = 0
-        mult = 1
-        for _ in range(self.e):
-            out += ((a % p + b % p) % p) * mult
-            a //= p
-            b //= p
-            mult *= p
-        return out
+        return self._add[a * self.q + b]
 
     def neg(self, a: int) -> int:
-        p = self.p
-        if self.e == 1:
-            return (-a) % p
-        out = 0
-        mult = 1
-        for _ in range(self.e):
-            out += ((-(a % p)) % p) * mult
-            a //= p
-            mult *= p
-        return out
+        return self._neg[a]
 
     def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+        return self._add[a * self.q + self._neg[b]]
 
     def mul(self, a: int, b: int) -> int:
-        if self.e == 1:
-            return (a * b) % self.p
-        return self._mul[a * self.q + b]
+        return self.mul_table[a * self.q + b]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise DivisionByZero("inverse of zero")
-        if self.e == 1:
-            return pow(a, -1, self.p)
         return self._inv[a]
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
 
     def pow_(self, a: int, k: int) -> int:
+        if a:
+            return self._exp[self._log[a] * k % (self.q - 1)]
         if k < 0:
-            a = self.inv(a)
-            k = -k
-        if self.e == 1:
-            return pow(a, k, self.p)
-        out = 1
-        base = a
-        while k:
-            if k & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            k >>= 1
-        return out
+            raise DivisionByZero("inverse of zero")
+        return 0 if k else 1
 
     # -- element factory and enumeration -------------------------------
 
@@ -250,7 +210,7 @@ class FieldSpec:
 
     def coeffs(self, raw: int):
         """Power-basis coordinates of a raw value, little-endian, length e."""
-        return tuple(self._coeffs_of(raw))
+        return self._coeffs[raw]
 
     def elements(self):
         """All field elements, zero first, in raw order."""

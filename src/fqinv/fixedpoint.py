@@ -37,8 +37,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import algebra
-from .algebra import Polynomial, TensorElement
+from .algebra import Polynomial, TensorElement, _compositions
 from .dickson import dickson_c, dickson_e, index_subsets, o_poly, theorem_basis
 from .errors import (
     ArityTooSmall,
@@ -65,16 +64,6 @@ BASIS_CAP = 2 * 10 ** 5
 
 # -- degree-d monomial basis of P_n (x) E_n ---------------------------------
 
-def _monomials(n, k):
-    """Exponent tuples summing to k, descending lexicographic order."""
-    if n == 1:
-        yield (k,)
-        return
-    for first in range(k, -1, -1):
-        for rest in _monomials(n - 1, k - first):
-            yield (first,) + rest
-
-
 def _block_shapes(n, d):
     """(polynomial degree, exterior length) pairs making up degree d."""
     return [((d - r) // 2, r) for r in range(d % 2, min(n, d) + 1, 2)]
@@ -93,7 +82,7 @@ def monomial_basis(field: FieldSpec, n: int, d: int):
     out = []
     for k, r in _block_shapes(n, d):
         for ext in combinations(range(1, n + 1), r):
-            for exp in _monomials(n, k):
+            for exp in _compositions(k, n):
                 out.append((exp, ext))
     return out
 
@@ -221,14 +210,6 @@ def _split_generators(gens):
     return monomial, [g for _, _, g in general]
 
 
-@lru_cache(maxsize=None)
-def _product_array(field):
-    """algebra._product_table as a read-only q x q array, for gathers."""
-    table = np.array(algebra._product_table(field), np.int64)
-    table.flags.writeable = False
-    return table.reshape(field.q, field.q)
-
-
 def _orbit_kernel(field, moves):
     """Fixed vectors of the group generated by scaled index permutations;
     (perm, scale) in `moves` sends basis vector i to scale[i] times basis
@@ -240,7 +221,7 @@ def _orbit_kernel(field, moves):
     column[i], or nothing where column[i] is -1."""
     size = len(moves[0][0])
     moves = [(perm.tolist(), scale.tolist()) for perm, scale in moves]
-    prod, q = algebra._product_table(field), field.q
+    prod, q = field.mul_table, field.q
     value = [0] * size                        # 0: not reached yet
     column = np.full(size, -1, dtype=np.int64)
     width = 0
@@ -275,9 +256,9 @@ def _readonly(*arrays):
 def _poly_steps(n, k):
     """x_j times the degree-(k-1) monomial b is the degree-k monomial
     up[j, b], in block order, with no sign (odd is False)."""
-    rank = {exp: i for i, exp in enumerate(_monomials(n, k))}
+    rank = {exp: i for i, exp in enumerate(_compositions(k, n))}
     up = np.array([[rank[b[:j] + (b[j] + 1,) + b[j + 1:]]
-                    for b in _monomials(n, k - 1)] for j in range(n)])
+                    for b in _compositions(k - 1, n)] for j in range(n)])
     return _readonly(up, np.zeros(up.shape, dtype=bool))
 
 
@@ -302,7 +283,7 @@ def _sum_duplicates(field, keys, raws):
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
     starts = np.flatnonzero(np.diff(keys, prepend=-1))
-    digits = algebra._digit_table(field)[raws[order], 0]
+    digits = field.digit_table[raws[order], 0]
     sums = np.add.reduceat(digits, starts) % field.p @ field.p ** np.arange(
         field.e)
     return keys[starts][sums != 0], sums[sums != 0]
@@ -324,7 +305,7 @@ def _level(field, rows, k, exterior):
     a is (sum_j rows[i][j] x_j) times column b of level k-1, so each level
     is one vectorised step from the one below, built once per generator."""
     levels = _levels(field, rows, exterior)
-    coef, mul = np.array(rows, dtype=np.int64), _product_array(field)
+    coef, mul = np.array(rows, dtype=np.int64), field.product_array
     while len(levels) <= k:
         up, odd = (_word_steps if exterior else _poly_steps)(len(rows),
                                                              len(levels))
@@ -355,7 +336,7 @@ def _level(field, rows, k, exterior):
 
 def _block_action(field, g, k, r):
     """g's action on the (k, r) block, whose position w*len(exps) + a holds
-    x^exps[a] dx_words[w] (exps = _monomials(n, k), words the length-r
+    x^exps[a] dx_words[w] (exps = _compositions(k, n), words the length-r
     words in order), as F_q entries (rows, cols, raws): the Kronecker
     product of its actions on the words and on the monomials."""
     poly_rows, poly_cols, poly_raws = _level(field, g.inverse_rows(), k, False)
@@ -363,7 +344,7 @@ def _block_action(field, g, k, r):
     width = math.comb(k + g.n - 1, g.n - 1)
     return ((word_rows[:, None] * width + poly_rows).ravel(),
             (word_cols[:, None] * width + poly_cols).ravel(),
-            _product_array(field)[word_raws[:, None], poly_raws].ravel())
+            field.product_array[word_raws[:, None], poly_raws].ravel())
 
 
 def _monomial_permutation(field, g, k, r):
@@ -386,7 +367,7 @@ def _moved(field, g, k, r, k0):
     keep = column[cols] >= 0
     rows, cols, raws = rows[keep], cols[keep], raws[keep]
     key, raws = _sum_duplicates(field, rows * width + column[cols],
-                                _product_array(field)[raws, value[cols]])
+                                field.product_array[raws, value[cols]])
     return key // width, key % width, raws
 
 
@@ -396,7 +377,7 @@ def _sparse_product(field, rows, cols, raws, m, width):
     that hold an entry; returns those rows and the product.  Entries of
     one rank within their row hit distinct rows, so a fancy += over them
     is exact; it forms _SCATTER output elements at a time."""
-    digits = algebra._digit_table(field)[raws]   # entry, i, k: t^i -> k
+    digits = field.digit_table[raws]   # entry, i, k: t^i -> k
     entry, i, k = np.nonzero(digits)
     rows, cols = rows[entry] * field.e + k, cols[entry] * field.e + i
     order = np.argsort(rows, kind="stable")
@@ -426,7 +407,7 @@ def _block_kernel(field, n, gens, k, r):
     those of K0, left after the other generators cut the kernel down one
     at a time (None until one has)."""
     basis = [(exp, ext) for ext in combinations(range(1, n + 1), r)
-             for exp in _monomials(n, k)]
+             for exp in _compositions(k, n)]
     monomial, general = _split_generators(gens)
     k0 = (np.arange(len(basis)), np.ones(len(basis), np.int64), len(basis))
     if monomial:

@@ -36,7 +36,7 @@ class GroupMatrix:
     def __init__(self, field: FieldSpec, rows):
         self.field = field
         rows = tuple(
-            tuple(_raw(field, c) for c in row) for row in rows
+            tuple(algebra._coerce_raw(field, c) for c in row) for row in rows
         )
         n = len(rows)
         if any(len(r) != n for r in rows):
@@ -93,12 +93,6 @@ class GroupMatrix:
 
     def __repr__(self):
         return f"GroupMatrix({self.field}, {[list(r) for r in self.rows]})"
-
-
-def _raw(field, c):
-    if isinstance(c, int):
-        return c % field.p
-    return algebra._coerce_raw(field, c)
 
 
 def _dot(field, row, col):
@@ -170,19 +164,6 @@ def _omega_powers(field):
     return [field.from_raw(field.p ** k) for k in range(field.e)]
 
 
-def _primitive_element(field):
-    q = field.q
-    for a in range(2, q):
-        x = a
-        order = 1
-        while x != 1:
-            x = field.mul(x, a)
-            order += 1
-        if order == q - 1:
-            return field.from_raw(a)
-    raise ValueError("no primitive element found")  # unreachable for a field
-
-
 def gens_standard(kind: str, n: int, field: FieldSpec) -> GroupPresentation:
     """Standard generator lists: every elementary transvection with each
     power-basis scalar for sl; the same plus one primitive diagonal for gl."""
@@ -200,8 +181,8 @@ def gens_standard(kind: str, n: int, field: FieldSpec) -> GroupPresentation:
     if kind == "sl" and n == 1:
         gens = [GroupMatrix.identity(field, 1)]  # trivial group
     if kind == "gl":
-        w0 = _primitive_element(field)
-        gens.append(diagonal(field, [w0] + [1] * (n - 1)))
+        gens.append(diagonal(field, [field.from_raw(field.primitive)]
+                             + [1] * (n - 1)))
         order = gl_order(n, field.q)
     return GroupPresentation(kind, n, field, tuple(gens), order)
 
@@ -353,7 +334,7 @@ def _regular(field, g):
     rows: digits(v*g) = digits(v) @ _regular(field, g) mod p.  Its e x e
     block (i, j) is the digit table's matrix of g[i][j]."""
     width = g.n * field.e
-    blocks = algebra._digit_table(field)[np.array(g.rows, dtype=np.int64)]
+    blocks = field.digit_table[np.array(g.rows, dtype=np.int64)]
     return blocks.transpose(0, 2, 1, 3).reshape(width, width)
 
 

@@ -14,7 +14,7 @@ index acts first on the argument).
 
 from __future__ import annotations
 
-from .algebra import Polynomial, TensorElement, exact_divide
+from .algebra import Polynomial, TensorElement, _sort_sign, exact_divide
 from .errors import (
     ArityTooSmall,
     BadIndexTuple,
@@ -79,12 +79,7 @@ def sign(I, J) -> int:
     J = _check_index_tuple(J)
     if set(I) & set(J):
         return 0
-    inv = 0
-    for i in I:
-        for j in J:
-            if i > j:
-                inv += 1
-    return -1 if inv & 1 else 1
+    return _sort_sign(I + J)
 
 
 def script_d(u: TensorElement) -> TensorElement:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from fqinv import FieldElement, enumerate_elements, make_field
+from fqinv import FieldElement, enumerate_elements, gens_standard, make_field
 from fqinv.errors import (
     ArityMismatch,
     DivisionByZero,
@@ -185,3 +185,88 @@ def test_too_many_coordinates_is_typed():
         with pytest.raises(ArityMismatch) as info:
             field.element(coords)
         assert isinstance(info.value, ValueError)
+
+
+# -- the table arithmetic against the per-digit and polynomial oracles -----
+
+ODD_PRIMES = [p for p in range(3, 114) if all(p % d for d in range(2, p))]
+TABLE_FIELDS = ALL_FIELDS + [make_field(p) for p in ODD_PRIMES
+                             if p not in (3, 5)]
+
+
+def reference_digits(field, a):
+    out = []
+    for _ in range(field.e):
+        a, c = divmod(a, field.p)
+        out.append(c)
+    return out
+
+
+def reference_add(field, a, b):
+    """Sum digit by digit mod p."""
+    p = field.p
+    return sum((x + y) % p * p ** k for k, (x, y) in enumerate(
+        zip(reference_digits(field, a), reference_digits(field, b))))
+
+
+def reference_neg(field, a):
+    p = field.p
+    return sum(-x % p * p ** k
+               for k, x in enumerate(reference_digits(field, a)))
+
+
+def reference_mul(field, a, b):
+    """Schoolbook product of the coordinate polynomials, reduced by the
+    monic modulus."""
+    p, e = field.p, field.e
+    prod = [0] * (2 * e - 1)
+    for i, x in enumerate(reference_digits(field, a)):
+        for j, y in enumerate(reference_digits(field, b)):
+            prod[i + j] = (prod[i + j] + x * y) % p
+    for i in range(2 * e - 2, e - 1, -1):
+        c, prod[i] = prod[i], 0
+        for j in range(e):
+            prod[i - e + j] = (prod[i - e + j] - c * field.modulus[j]) % p
+    return sum(c * p ** k for k, c in enumerate(prod[:e]))
+
+
+def reference_powers(field, a, top):
+    """[a^0, ..., a^top] by repeated products."""
+    out = [1]
+    for _ in range(top):
+        out.append(reference_mul(field, out[-1], a))
+    return out
+
+
+@pytest.mark.parametrize("field", TABLE_FIELDS, ids=repr)
+def test_tables_match_reference_arithmetic(field):
+    q = field.q
+    for a in range(q):
+        assert field.neg(a) == reference_neg(field, a)
+        for b in range(q):
+            assert field.add(a, b) == reference_add(field, a, b)
+            assert field.sub(a, b) == \
+                reference_add(field, a, reference_neg(field, b))
+            assert field.mul(a, b) == reference_mul(field, a, b)
+        powers = reference_powers(field, a, 2 * q + 1)
+        if a:
+            inv = field.inv(a)
+            assert reference_mul(field, a, inv) == 1
+        for k in (-q, -1, 0, 1, q - 1, q, 2 * q + 1):
+            if k >= 0:
+                assert field.pow_(a, k) == powers[k], (a, k)
+            elif a:
+                assert reference_mul(field, field.pow_(a, k), powers[-k]) == 1
+            else:
+                with pytest.raises(DivisionByZero):
+                    field.pow_(a, k)
+
+
+@pytest.mark.parametrize("field", TABLE_FIELDS, ids=repr)
+def test_gl_diagonal_uses_least_raw_of_order_q_minus_1(field):
+    q = field.q
+    least = next(a for a in range(1, q)
+                 if reference_powers(field, a, q - 1).index(1, 1) == q - 1)
+    diag = gens_standard("gl", 2, field).generators[-1]
+    assert diag.rows == ((least, 0), (0, 1))
+    assert field.primitive == least

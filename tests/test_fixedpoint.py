@@ -325,7 +325,7 @@ def _blocks(n, d_max):
     the solver's order."""
     for d in range(d_max + 1):
         for k, r in fixedpoint._block_shapes(n, d):
-            exps = list(fixedpoint._monomials(n, k))
+            exps = list(algebra._compositions(k, n))
             words = list(combinations(range(1, n + 1), r))
             basis = [(exp, ext) for ext in words for exp in exps]
             yield exps, words, basis, {be: i for i, be in enumerate(basis)}
@@ -376,7 +376,7 @@ def test_action_levels_match_per_monomial_substitution(field):
     for g in gens:
         rows = g.inverse_rows()
         for k in range(8):
-            exps = list(fixedpoint._monomials(n, k))
+            exps = list(algebra._compositions(k, n))
             rank = {exp: i for i, exp in enumerate(exps)}
             want = {(rank[exp2], a): raw for a, exp in enumerate(exps)
                     for exp2, raw in algebra._substitute_terms(
@@ -398,8 +398,11 @@ def test_cached_actions_are_read_only_and_bounded():
     rows = g.inverse_rows()
     cached = [*fixedpoint._level(F9, rows, 4, False),
               *fixedpoint._level(F9, rows, 2, True),
-              *fixedpoint._poly_steps(3, 4), *fixedpoint._word_steps(3, 2),
-              algebra._digit_table(F9), fixedpoint._product_array(F9)]
+              *fixedpoint._poly_steps(3, 4), *fixedpoint._word_steps(3, 2)]
+    for field in ALL_FIELDS:
+        cached += [field.digit_table, field.product_array]
+        with pytest.raises(TypeError):
+            field.mul_table[0] = 1
     for a in cached:
         with pytest.raises(ValueError):
             a[...] = 0
