@@ -12,7 +12,7 @@ Finite Fields, ch. 2): digit_table[a, i] holds the base-p digits of
 t^i * a, so times a is the e x e matrix digit_table[a] over F_p acting on
 digit rows.  A few numpy operations on it give the sum, negation and
 product tables, and the exponent and logarithm tables of the least raw of
-order q - 1, from which come inverses and powers.  So every raw operation
+order q - 1, which give inverses and powers.  So every raw operation
 is one table lookup, for prime and extension fields alike, and no other
 module builds a field table: they read these, which are tuples or
 read-only arrays.  All hot loops in the library work on raw ints through
@@ -99,7 +99,7 @@ class FieldSpec:
     """Field description plus raw-int arithmetic.  Immutable once built."""
 
     __slots__ = ("p", "e", "q", "modulus", "digit_table", "product_array",
-                 "mul_table", "_add", "_neg", "_inv", "_exp", "_log",
+                 "mul_table", "_add", "_neg", "_exp", "_log",
                  "_coeffs")
 
     def __init__(self, p: int, e: int, modulus):
@@ -115,7 +115,8 @@ class FieldSpec:
         regular[:, 0] = digits
         for i in range(1, e):
             prev = regular[:, i - 1]
-            shifted = np.concatenate((0 * prev[:, :1], prev[:, :-1]), axis=1)
+            shifted = np.zeros_like(prev)
+            shifted[:, 1:] = prev[:, :-1]
             regular[:, i] = (shifted - prev[:, -1:] * modulus[:e]) % p
         products = (digits @ regular) % p @ place
         # powers[k, a] = a^k, k < q - 1: the least raw a > 0 whose powers
@@ -124,9 +125,8 @@ class FieldSpec:
         for k in range(1, q - 1):
             powers[k] = products[powers[k - 1], np.arange(q)]
         exp = powers[:, 1 + np.argmin((powers[1:, 1:] == 1).any(axis=0))]
-        log, inv = np.zeros(q, dtype=np.int64), np.zeros(q, dtype=np.int64)
+        log = np.zeros(q, dtype=np.int64)
         log[exp] = np.arange(q - 1)
-        inv[exp] = exp[-np.arange(q - 1)]
         regular.flags.writeable = products.flags.writeable = False
         self.digit_table = regular
         self.product_array = products
@@ -134,7 +134,6 @@ class FieldSpec:
         self._add = tuple(((digits[:, None] + digits) % p @ place).ravel()
                           .tolist())
         self._neg = tuple((-digits % p @ place).tolist())
-        self._inv = tuple(inv.tolist())
         self._exp = tuple(exp.tolist())
         self._log = tuple(log.tolist())
         self._coeffs = tuple(map(tuple, digits.tolist()))
@@ -175,7 +174,7 @@ class FieldSpec:
     def inv(self, a: int) -> int:
         if a == 0:
             raise DivisionByZero("inverse of zero")
-        return self._inv[a]
+        return self._exp[-self._log[a]]
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
