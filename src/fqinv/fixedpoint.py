@@ -9,12 +9,16 @@ multiple of one variable) permute the block's monomials up to scalars, so
 their common fixed vectors are the orbit sums whose scalars agree, one
 column per such orbit (the permutation-module basis of Derksen & Kemper,
 Computational Invariant Theory, section 3).  The other generators cut
-that kernel down one at a time by an exact dense elimination, with the
-kernel kept factored as the orbit kernel times a small matrix.  Each
-generator's action on a block is one sparse matrix, the Kronecker product
-of its actions on the exterior words and on the monomials; the action on
-the degree-k monomials is built from that on degree k-1 in one vectorised
-step and cached per generator.  Every elimination runs over F_p on the
+that kernel down one at a time, with the kernel kept factored as the
+orbit kernel times a small matrix.  Each cut is a kernel over F_p taken
+from sparse entries: rows with a single live entry are peeled first,
+since their columns vanish on the kernel (structured Gaussian
+elimination, LaMacchia & Odlyzko, CRYPTO '90), and only what is left is
+made dense and eliminated exactly.  Each generator's action on a block
+is one sparse matrix, the Kronecker product of its actions on the
+exterior words and on the monomials; the action on the degree-k
+monomials is built from that on degree k-1 in one vectorised step and
+cached per generator.  Every elimination runs over F_p on the
 base-p digits of F_q-vectors.
 
 The case table has one row per case kind.  A row ties the kind's group
@@ -96,7 +100,6 @@ def monomial_basis(field: FieldSpec, n: int, d: int):
 # too.  So an F_p-dimension is e times the F_q-dimension.
 
 _MATMUL_ROWS = 1024
-_MOVE_ROWS = 64
 
 
 def _eliminate(a, p):
@@ -124,21 +127,34 @@ def _eliminate(a, p):
     return pivots
 
 
-def _nullspace(a, p):
-    """Kernel basis of the int64 array a over F_p; columns of the result,
-    int64.  Eliminates in a itself, which it overwrites, after moving its
-    nonzero rows to the top _MOVE_ROWS at a time (row j comes from a row
-    at or below j, so no row is overwritten before it is read)."""
-    live = np.nonzero(a.any(axis=1))[0]
-    for lo in range(0, len(live), _MOVE_ROWS):
-        rows = live[lo:lo + _MOVE_ROWS]
-        a[lo:lo + len(rows)] = a[rows]
-    a = a[:len(live)]
+def _kernel(rows, cols, vals, width, p):
+    """Kernel over F_p of the matrix with `width` columns whose nonzero
+    entries are vals at the distinct positions (rows, cols); the reduced
+    basis (the identity on the free columns) as the columns of an int64
+    array.  A row with one live entry forces that entry's column to zero
+    in every kernel vector, so such columns are peeled, round after round,
+    until no row holds a single live entry (the first rule of structured
+    Gaussian elimination, LaMacchia & Odlyzko, CRYPTO '90); only the rows
+    and columns left are made dense and eliminated.  A peeled column is
+    never free, so the free columns and the basis are those of the whole
+    matrix."""
+    live = np.ones(width, dtype=bool)
+    while True:
+        single = np.bincount(rows)[rows] == 1
+        if not single.any():
+            break
+        live[cols[single]] = False
+        keep = live[cols]
+        rows, cols, vals = rows[keep], cols[keep], vals[keep]
+    kept = np.flatnonzero(live)
+    at, rows = np.unique(rows, return_inverse=True)
+    a = np.zeros((len(at), len(kept)), dtype=np.int64)
+    a[rows, np.searchsorted(kept, cols)] = vals
     pivots = _eliminate(a, p)
-    free = np.delete(np.arange(a.shape[1]), pivots)
-    out = np.zeros((a.shape[1], len(free)), dtype=np.int64)
-    out[free, np.arange(len(free))] = 1
-    out[pivots] = (-a[:len(pivots), free]) % p
+    free = np.delete(np.arange(len(kept)), pivots)
+    out = np.zeros((width, len(free)), dtype=np.int64)
+    out[kept[free], np.arange(len(free))] = 1
+    out[kept[pivots]] = (-a[:len(pivots), free]) % p
     return out
 
 
@@ -166,20 +182,6 @@ def _canonical_rows(a, field):
     pivots = np.array(_eliminate(a, field.p), dtype=np.int64)
     rows = a[:len(pivots)][pivots % e == 0]
     return rows.reshape(-1, a.shape[1] // e, e) @ field.p ** np.arange(e)
-
-
-def _rref_rows(rows, field):
-    """Reduced row echelon form over F_q of raw rows; rows sorted by pivot
-    position."""
-    a = np.array(rows, dtype=np.int64)
-    if a.size == 0:
-        return a
-    # digit row r*e + i of the span holds the digits of t^i times row r
-    r, c = np.nonzero(a)
-    at, digits = _sparse_product(field, c, r, a[r, c], None, len(a) * field.e)
-    span = np.zeros((a.shape[1] * field.e, len(a) * field.e), dtype=np.int64)
-    span[at] = digits
-    return _canonical_rows(np.ascontiguousarray(span.T), field)
 
 
 # -- per-block solver --------------------------------------------------------
@@ -252,13 +254,37 @@ def _readonly(*arrays):
     return arrays
 
 
+def _exponent_rows(n, k):
+    """The degree-k exponents in n variables as the rows of an array, in
+    block order (descending lexicographic, as algebra._compositions)."""
+    rest, cols = np.array([k]), []
+    for _ in range(n - 1):
+        counts = rest + 1                     # the next exponent: rest..0
+        parent = np.repeat(np.arange(len(rest)), counts)
+        step = np.arange(len(parent)) - np.repeat(np.cumsum(counts) - counts,
+                                                   counts)
+        cols = [c[parent] for c in cols] + [rest[parent] - step]
+        rest = step
+    return np.column_stack(cols + [rest])
+
+
 @lru_cache(maxsize=_STEP_TABLES)
 def _poly_steps(n, k):
     """x_j times the degree-(k-1) monomial b is the degree-k monomial
-    up[j, b], in block order, with no sign (odd is False)."""
-    rank = {exp: i for i, exp in enumerate(_compositions(k, n))}
-    up = np.array([[rank[b[:j] + (b[j] + 1,) + b[j + 1:]]
-                    for b in _compositions(k - 1, n)] for j in range(n)])
+    up[j, b], in block order, with no sign (odd is False).  The rank of an
+    exponent a counts, for each i < n-1, the exponents that agree with a
+    before i and are larger at i; by stars and bars there are
+    C(s + n-1-i - 1, n-1-i) of them, s the sum of a past i."""
+    b = _exponent_rows(n, k - 1)
+    parts = np.arange(n - 1, 0, -1)           # n-1-i for i < n-1
+    comb = np.array([[math.comb(s + j - 1, j) if s else 0 for j in range(n)]
+                     for s in range(k + 1)], dtype=np.int64)
+    up = np.empty((n, len(b)), dtype=np.int64)
+    for j in range(n):
+        a = b.copy()
+        a[:, j] += 1
+        past = np.cumsum(a[:, :0:-1], axis=1)[:, ::-1]
+        up[j] = comb[past, parts].sum(axis=1)
     return _readonly(up, np.zeros(up.shape, dtype=bool))
 
 
@@ -371,17 +397,25 @@ def _moved(field, g, k, r, k0):
     return key // width, key % width, raws
 
 
+def _digits(field, rows, cols, raws):
+    """The F_q entries (rows, cols, raws) in digit form: F_p entries
+    (rows, cols, vals), vals nonzero, at distinct positions if the F_q
+    entries are."""
+    digits = field.digit_table[raws]   # entry, i, k: t^i -> k
+    entry, i, k = np.nonzero(digits)
+    return (rows[entry] * field.e + k, cols[entry] * field.e + i,
+            digits[entry, i, k])
+
+
 def _sparse_product(field, rows, cols, raws, m, width):
     """The F_q entries (rows, cols, raws) in digit form, times the F_p
     array m (None: the identity on `width` columns), on the digit rows
     that hold an entry; returns those rows and the product.  Entries of
     one rank within their row hit distinct rows, so a fancy += over them
     is exact; it forms _SCATTER output elements at a time."""
-    digits = field.digit_table[raws]   # entry, i, k: t^i -> k
-    entry, i, k = np.nonzero(digits)
-    rows, cols = rows[entry] * field.e + k, cols[entry] * field.e + i
+    rows, cols, vals = _digits(field, rows, cols, raws)
     order = np.argsort(rows, kind="stable")
-    rows, cols, vals = rows[order], cols[order], digits[entry, i, k][order]
+    rows, cols, vals = rows[order], cols[order], vals[order]
     new = np.diff(rows, prepend=-1) != 0
     slot = np.cumsum(new) - 1
     out = np.zeros((np.count_nonzero(new),
@@ -397,19 +431,21 @@ def _sparse_product(field, rows, cols, raws, m, width):
         pick = order[lo:hi]
         # at most len(rows) products below p^2 per entry: no overflow
         out[slot[pick]] += vals[pick, None] * m[cols[pick]]
-    return rows[new], out % field.p
+    out %= field.p
+    return rows[new], out
 
 
 def _block_kernel(field, n, gens, k, r):
-    """Basis and fixed vectors of the (poly degree, ext length) block, as
-    (K0, M): K0 = (column, value, width) the orbit kernel of the monomial
+    """Fixed vectors of the (poly degree, ext length) block, as (K0, M):
+    K0 = (column, value, width) the orbit kernel of the monomial
     generators (the identity if there is none), M the digit columns, over
     those of K0, left after the other generators cut the kernel down one
-    at a time (None until one has)."""
-    basis = [(exp, ext) for ext in combinations(range(1, n + 1), r)
-             for exp in _compositions(k, n)]
+    at a time (None until one has).  The first of them peels the digits
+    of the sparse (A_g - 1) K0; a later one peels the nonzero entries of
+    the product (A_g - 1) K0 M."""
+    size = _block_size(n, k, r)
     monomial, general = _split_generators(gens)
-    k0 = (np.arange(len(basis)), np.ones(len(basis), np.int64), len(basis))
+    k0 = (np.arange(size), np.ones(size, np.int64), size)
     if monomial:
         k0 = _orbit_kernel(field, [_monomial_permutation(field, g, k, r)
                                    for g in monomial])
@@ -418,14 +454,21 @@ def _block_kernel(field, n, gens, k, r):
         width = k0[2] * field.e if m is None else m.shape[1]
         if width == 0:
             break
-        _, moved = _sparse_product(field, *_moved(field, g, k, r, k0), m, width)
-        reduction = _nullspace(moved, field.p)
-        del moved
+        moved = _moved(field, g, k, r, k0)
+        if m is None:
+            entries = _digits(field, *moved)
+        else:
+            _, product = _sparse_product(field, *moved, m, width)
+            at = np.nonzero(product)
+            entries = (*at, product[at])
+            del product
+        reduction = _kernel(*entries, width, field.p)
+        del moved, entries
         if m is None:
             m = reduction
         elif reduction.shape[1] < width:      # else g fixes all of M
             m = _matmul_mod(m, reduction, field.p)
-    return basis, k0, m
+    return k0, m
 
 
 def _resolve_group(group):
@@ -456,7 +499,7 @@ def fixed_dim(group, d: int, exterior_degree=None) -> int:
     for k, r in _block_shapes(n, d):
         if exterior_degree is not None and r != exterior_degree:
             continue
-        _, k0, m = _block_kernel(field, n, gens, k, r)
+        k0, m = _block_kernel(field, n, gens, k, r)
         total += k0[2] if m is None else m.shape[1] // field.e
     return total
 
@@ -473,17 +516,15 @@ def fixed_basis(group, d: int):
     _check_cap(n, d)
     blocks = []
     offset = 0
-    full_basis = []
     dims = 0
     for k, r in _block_shapes(n, d):
-        basis, (column, value, width), m = _block_kernel(field, n, gens, k, r)
+        (column, value, width), m = _block_kernel(field, n, gens, k, r)
         pos = np.flatnonzero(column >= 0)
         # the digit kernel K0 M, on the digit rows where K0 has an entry
         at, kernel = _sparse_product(field, pos, column[pos], value[pos], m,
                                      width * field.e)
         blocks.append((offset * field.e + at, kernel))
-        offset += len(basis)
-        full_basis.extend(basis)
+        offset += len(column)
         dims += kernel.shape[1]
     if dims == 0:
         return []
@@ -494,6 +535,7 @@ def fixed_basis(group, d: int):
         rows[at:at + width, digit_rows] = kernel.T
         at += width
     rows = _canonical_rows(rows, field)
+    full_basis = monomial_basis(field, n, d)
     out = []
     for vec in rows:
         parts = {}

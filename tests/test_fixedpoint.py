@@ -4,7 +4,9 @@ import hashlib
 import json
 import math
 import random
+from contextlib import contextmanager
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -164,6 +166,21 @@ def reference_rref(rows, width, field):
     return rows[:rank]
 
 
+def rref_rows(rows, field):
+    """Reduced row echelon form over F_q of raw rows; rows sorted by pivot
+    position."""
+    a = np.array(rows, dtype=np.int64)
+    if a.size == 0:
+        return a
+    # digit row r*e + i of the span holds the digits of t^i times row r
+    r, c = np.nonzero(a)
+    at, digits = fixedpoint._sparse_product(field, c, r, a[r, c], None,
+                                            len(a) * field.e)
+    span = np.zeros((a.shape[1] * field.e, len(a) * field.e), dtype=np.int64)
+    span[at] = digits
+    return fixedpoint._canonical_rows(np.ascontiguousarray(span.T), field)
+
+
 @pytest.mark.parametrize("field", ALL_FIELDS, ids=repr)
 def test_rref_rows_match_gauss_jordan_over_f_q(field):
     # the solver reduces base-p digit rows over F_p and reads the F_q rows
@@ -176,7 +193,7 @@ def test_rref_rows_match_gauss_jordan_over_f_q(field):
         if m > 2:
             scalar = int(rng.integers(1, field.q))
             rows[-1] = [field.mul(scalar, int(v)) for v in rows[0]]
-        got = fixedpoint._rref_rows(rows, field)
+        got = rref_rows(rows, field)
         want = reference_rref(rows.tolist(), width, field)
         assert got.tolist() == want
 
@@ -196,6 +213,26 @@ def reference_nullspace(a, p):
     return out
 
 
+def dense_nullspace(a, p):
+    """Kernel basis of the int64 array a over F_p, by eliminating all of
+    its nonzero rows at once, column by column: the solver's route before
+    it peeled singleton rows."""
+    a = a[a.any(axis=1)]
+    pivots = fixedpoint._eliminate(a, p)
+    free = np.delete(np.arange(a.shape[1]), pivots)
+    out = np.zeros((a.shape[1], len(free)), dtype=np.int64)
+    out[free, np.arange(len(free))] = 1
+    out[pivots] = (-a[:len(pivots), free]) % p
+    return out
+
+
+def peeled_kernel(a, p):
+    """fixedpoint._kernel of the dense int64 array a, from its nonzero
+    entries."""
+    rows, cols = np.nonzero(a)
+    return fixedpoint._kernel(rows, cols, a[rows, cols], a.shape[1], p)
+
+
 @pytest.mark.parametrize("p", (3, 5, 113))
 def test_nullspace_matches_the_per_entry_fill(p):
     rng = np.random.default_rng(p)
@@ -203,9 +240,129 @@ def test_nullspace_matches_the_per_entry_fill(p):
         m, k = rng.integers(0, 10), rng.integers(0, 10)
         a = rng.integers(0, p, (m, k))
         a[rng.random(m) < 0.4] = 0          # zero rows are dropped first
-        got = fixedpoint._nullspace(a.copy(), p)
+        got = peeled_kernel(a, p)
         assert np.array_equal(got, reference_nullspace(a, p))
+        assert np.array_equal(got, dense_nullspace(a, p))
         assert not (a @ got % p).any()
+
+
+@st.composite
+def chained_matrices(draw, p):
+    """A sparse F_p matrix with planted chains of singleton rows: a
+    chain's first row holds one entry, and each next row one new column
+    next to the one or two before it, so peeling takes one round per
+    link.  Random sparse rows, over chain columns too, leave some kernel;
+    the rows come shuffled."""
+    width = draw(st.integers(1, 14), label="width")
+    order = draw(st.permutations(range(width)), label="order")
+    nonzero = st.integers(1, p - 1)
+    rows, done = [], 0
+    while done < width and draw(st.booleans(), label="another chain"):
+        length = draw(st.integers(1, width - done), label="length")
+        chain, done = order[done:done + length], done + length
+        for i, col in enumerate(chain):
+            row = np.zeros(width, dtype=np.int64)
+            for c in chain[max(0, i - 2):i + 1]:
+                row[c] = draw(nonzero)
+            rows.append(row)
+    for _ in range(draw(st.integers(0, 6), label="random rows")):
+        row = np.zeros(width, dtype=np.int64)
+        for c, v in draw(st.lists(st.tuples(st.integers(0, width - 1),
+                                            nonzero), max_size=4)):
+            row[c] = v
+        rows.append(row)
+    shuffle = draw(st.permutations(range(len(rows))), label="shuffle")
+    return np.array([rows[i] for i in shuffle],
+                    dtype=np.int64).reshape(-1, width)
+
+
+@contextmanager
+def eliminated():
+    """Copies of the arrays that reach fixedpoint._eliminate meanwhile."""
+    seen, eliminate = [], fixedpoint._eliminate
+
+    def recording(a, p):
+        seen.append(a.copy())
+        return eliminate(a, p)
+
+    with mock.patch.object(fixedpoint, "_eliminate", recording):
+        yield seen
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 113))
+@seed(20261019)
+@SETTINGS
+@given(data=st.data())
+def test_kernel_peels_planted_singleton_chains(p, data):
+    a = data.draw(chained_matrices(p), label="a")
+    with eliminated() as seen:
+        got = peeled_kernel(a, p)
+    assert np.array_equal(got, dense_nullspace(a, p))
+    assert not (a @ got % p).any()
+    # peeling ran to the end: no row left holds a single entry
+    assert all((b != 0).sum(axis=1).min(initial=2) >= 2 for b in seen)
+
+
+@st.composite
+def sparse_fq_entries(draw, field):
+    """F_q entries (rows, cols, raws) at distinct positions of an m x width
+    matrix, and its shape; a sparse draw leaves rows with one entry."""
+    m = draw(st.integers(1, 8), label="m")
+    width = draw(st.integers(1, 6), label="width")
+    entries = draw(st.dictionaries(
+        st.tuples(st.integers(0, m - 1), st.integers(0, width - 1)),
+        st.integers(1, field.q - 1), max_size=m * width), label="entries")
+    at = np.array(list(entries), dtype=np.int64).reshape(-1, 2)
+    raws = np.array(list(entries.values()), dtype=np.int64)
+    return at[:, 0], at[:, 1], raws, (m, width)
+
+
+@pytest.mark.parametrize("field", ALL_FIELDS, ids=repr)
+@seed(20261019)
+@SETTINGS
+@given(data=st.data())
+def test_kernel_of_digit_entries_matches_dense_nullspace(field, data):
+    rows, cols, raws, (m, width) = data.draw(sparse_fq_entries(field),
+                                             label="entries")
+    e = field.e
+    digit_rows, digit_cols, vals = fixedpoint._digits(field, rows, cols,
+                                                      raws)
+    a = np.zeros((m * e, width * e), dtype=np.int64)
+    a[digit_rows, digit_cols] = vals
+    got = fixedpoint._kernel(digit_rows, digit_cols, vals, width * e,
+                             field.p)
+    assert np.array_equal(got, dense_nullspace(a, field.p))
+    assert got.shape[1] % e == 0            # an F_q-subspace
+
+
+def test_peeling_shrinks_what_e7_4_eliminates():
+    # the first general generator of e7_4's largest degree-36 block: the
+    # remainder that reaches _eliminate is a part of its digit matrix
+    group = case_group("e7_4")
+    field, n, k, r = group.field, group.n, 18, 0
+    monomial, general = fixedpoint._split_generators(group.generators)
+    k0 = fixedpoint._orbit_kernel(field, [
+        fixedpoint._monomial_permutation(field, g, k, r) for g in monomial])
+    digit_rows, _, _ = fixedpoint._digits(
+        field, *fixedpoint._moved(field, general[0], k, r, k0))
+    full = (len(np.unique(digit_rows)), k0[2] * field.e)
+    with eliminated() as seen:
+        fixedpoint._block_kernel(field, n, group.generators, k, r)
+    shape = seen[0].shape
+    assert shape[0] < full[0] and shape[1] < full[1], (shape, full)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_poly_steps_match_the_compositions_order(n):
+    for k in range(1, 9):
+        rank = {exp: i for i, exp in enumerate(algebra._compositions(k, n))}
+        want = [[rank[b[:j] + (b[j] + 1,) + b[j + 1:]]
+                 for b in algebra._compositions(k - 1, n)] for j in range(n)]
+        up, odd = fixedpoint._poly_steps(n, k)
+        assert up.tolist() == want
+        assert not odd.any()
+        assert fixedpoint._exponent_rows(n, k).tolist() == \
+            [list(exp) for exp in algebra._compositions(k, n)]
 
 
 def test_fixed_dim_small_golden():
@@ -460,8 +617,8 @@ def test_orbit_kernel_of_one_generator_spans_its_cycle_kernel(gens, d_max):
             got[kept, column[kept]] = value[kept]
             want = reference_cycle_kernel(field, *move)
             assert got.shape == want.shape
-            assert np.array_equal(fixedpoint._rref_rows(got.T, field),
-                                  fixedpoint._rref_rows(want.T, field))
+            assert np.array_equal(rref_rows(got.T, field),
+                                  rref_rows(want.T, field))
 
 
 def reference_monomial_permutation(field, basis, index, g):
