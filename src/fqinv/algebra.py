@@ -382,6 +382,43 @@ def _combine(keys, vals):
     return keys[starts], np.add.reduceat(vals, starts)
 
 
+def _accumulate(pieces):
+    """_combine of every (keys, values) pair that `pieces` yields.  Each
+    piece is combined as it comes; combined pieces merge into the running
+    result once they outgrow it."""
+    run_k = run_v = np.empty(0, dtype=np.int64)
+    parts_k, parts_v, pending = [], [], 0
+    for keys, vals in pieces:
+        k, v = _combine(keys, vals)
+        del keys, vals            # not alive while the next piece is formed
+        parts_k.append(k)
+        parts_v.append(v)
+        pending += len(k)
+        if pending >= max(len(run_k), _CHUNK_PAIRS):
+            run_k, run_v = _combine(np.concatenate([run_k] + parts_k),
+                                    np.concatenate([run_v] + parts_v))
+            parts_k, parts_v, pending = [], [], 0
+    if parts_k:
+        run_k, run_v = _combine(np.concatenate([run_k] + parts_k),
+                                np.concatenate([run_v] + parts_v))
+    return run_k, run_v
+
+
+def _live(field, lane, keys, vals):
+    """Keys and field raws of lane-packed coefficient sums, zeros
+    dropped."""
+    raws = _raw_of_lanes(vals, field, lane)
+    live = raws != 0
+    return keys[live], raws[live]
+
+
+def _unpack_arrays(keys, raws, shifts, masks):
+    """Term dict of packed keys and raws given as int64 arrays."""
+    # one column at a time: a (terms, n) array's tolist() costs more memory
+    cols = [((keys >> s) & m).tolist() for s, m in zip(shifts, masks)]
+    return dict(zip(zip(*cols), raws.tolist()))
+
+
 def _layout(max_a, max_b):
     """Bit shift and mask of every variable in a packed key, sized from
     the largest exponents of the two factors, plus the total width."""
@@ -405,45 +442,32 @@ def _exp_array(terms):
     return flat.reshape(len(terms), n)
 
 
-def _mul_numpy(field, lane, layout, a, exps_a, b, exps_b):
-    """Product of two term dicts through numpy outer sums.  Pairs are
-    formed and reduced at most _CHUNK_PAIRS at a time; reduced chunks
-    merge into the running result once they outgrow it."""
-    shifts, masks, _ = layout
-    weights = np.array([1 << s for s in shifts], dtype=np.int64)
+def _mul_pieces(field, lane, weights, a, exps_a, b, exps_b):
+    """The outer sums of two term dicts' packed keys and lane-packed
+    coefficient products, at most _CHUNK_PAIRS pairs at a time."""
     ka, kb = exps_a @ weights, exps_b @ weights
     ca = np.fromiter(a.values(), np.int64, len(a)) * field.q
     cb = np.fromiter(b.values(), np.int64, len(b))
     table = _lane_array(field, lane)
     step_b = min(len(kb), _CHUNK_PAIRS)
     step_a = _CHUNK_PAIRS // step_b
-    run_k = run_v = np.empty(0, dtype=np.int64)
-    parts_k, parts_v, pending = [], [], 0
     for i in range(0, len(ka), step_a):
         for j in range(0, len(kb), step_b):
             keys = ka[i:i + step_a, None] + kb[None, j:j + step_b]
             rows = ca[i:i + step_a, None] + cb[None, j:j + step_b]
-            k, v = _combine(keys.ravel(), table[rows.ravel()])
-            parts_k.append(k)
-            parts_v.append(v)
-            pending += len(k)
-            if pending >= max(len(run_k), _CHUNK_PAIRS):
-                run_k, run_v = _combine(np.concatenate([run_k] + parts_k),
-                                        np.concatenate([run_v] + parts_v))
-                parts_k, parts_v, pending = [], [], 0
-    if parts_k:
-        run_k, run_v = _combine(np.concatenate([run_k] + parts_k),
-                                np.concatenate([run_v] + parts_v))
+            yield keys.ravel(), table[rows.ravel()]
+
+
+def _mul_numpy(field, lane, layout, a, exps_a, b, exps_b):
+    """Product of two term dicts through numpy outer sums."""
+    shifts, masks, _ = layout
+    weights = np.array([1 << s for s in shifts], dtype=np.int64)
+    keys, vals = _accumulate(
+        _mul_pieces(field, lane, weights, a, exps_a, b, exps_b))
     # only the result stays alive while it is unpacked
-    del ka, kb, ca, cb, keys, rows, k, v, parts_k, parts_v
-    raws = _raw_of_lanes(run_v, field, lane)
-    live = raws != 0
-    keys = run_k[live]
-    raws = raws[live].tolist()
-    del run_k, run_v, live
-    # one column at a time: a (terms, n) array's tolist() costs more memory
-    cols = [((keys >> s) & m).tolist() for s, m in zip(shifts, masks)]
-    return dict(zip(zip(*cols), raws))
+    keys, raws = _live(field, lane, keys, vals)
+    del vals
+    return _unpack_arrays(keys, raws, shifts, masks)
 
 
 def _mul_python(field, lane, layout, a, b):
@@ -501,6 +525,18 @@ def _mul_terms(field, a, b):
 # of the factors as its base-p digits, so the product has no equal keys:
 # for a transvection row it is exactly the prod_d (e_d + 1) terms that
 # Lucas's theorem leaves nonzero.
+#
+# The numpy route is the twin of _mul_numpy.  The one-entry rows move the
+# keys of all terms with one integer product exps @ weights and scale
+# their coefficients with one gather from the log and exponent tables.
+# The terms are then grouped by their exponents on the other rows; the
+# image of those rows is built once per group, as above, and expanded
+# against the group's keys and coefficients by one outer sum.  tensor_act
+# runs this kernel on every exterior part and adds all the parts' images
+# in one _combine, each key carrying its exterior word's bit mask above
+# the packed monomial; is_invariant compares those sorted arrays directly.
+# Inputs below _NUMPY_MIN_PAIRS terms, and keys or lanes wider than
+# _INT64_BITS, take the Python loop, whose ints have no width limit.
 
 
 def _compositions(total, parts):
@@ -542,49 +578,64 @@ def _row_power(field, entries, e):
     return out
 
 
-def _substitute_terms(field, rows, terms):
-    """Term dict of `terms` under x_i -> sum_j rows[i][j] x_j, rows given
-    as raw values."""
-    if not terms:
-        return {}
-    n, q = len(rows), field.q
-    top = max(map(sum, terms))
-    width = top.bit_length()
-    shifts = [j * width for j in range(n)]
-    sparse = [[(1 << shifts[j], c) for j, c in enumerate(row) if c]
+def _row_plan(field, rows, width):
+    """The rows as the substitution reads them, at `width` bits per
+    variable: that width; the key of the variable of every one-entry row
+    (0 for the other rows); the one-entry rows whose scalar is not 1, as
+    (i, scalar); and every other row, zero rows included, as
+    (i, [(x_j's key, c_j)...])."""
+    sparse = [[(1 << (j * width), c) for j, c in enumerate(row) if c]
               for row in rows]
-    # one-entry rows c x_j move x_i^e to x_j^e: a key shift by e units of
-    # x_j, times c^e where c != 1; every other row, zero rows included,
-    # contributes its power
     shift = [r[0][0] if len(r) == 1 else 0 for r in sparse]
     scaled = [(i, r[0][1]) for i, r in enumerate(sparse)
               if len(r) == 1 and r[0][1] != field.one]
-    long = [(i, sparse[i], {}) for i, r in enumerate(sparse) if len(r) != 1]
+    long = [(i, r) for i, r in enumerate(sparse) if len(r) != 1]
+    return width, shift, scaled, long
+
+
+def _substitution_lane(field, plan, count, top):
+    """Lane width for the image of `count` terms of total degree at most
+    `top`."""
     # a key collects one sum per input term; a convolution of two row
     # powers collects at most as many products as there are monomials of
     # the top degree
-    bound = len(terms)
+    _, shift, _, long = plan
+    bound = count
     if len(long) > 1:
-        bound = max(bound, comb(top + n - 1, n - 1))
-    lane = max(_LANE_BITS, (bound * (field.p - 1)).bit_length())
+        bound = max(bound, comb(top + len(shift) - 1, len(shift) - 1))
+    return max(_LANE_BITS, (bound * (field.p - 1)).bit_length())
+
+
+def _long_image(field, lane, long, exp, powers):
+    """Product of the powers exp[i] of the rows (i, entries) in `long`, as
+    a list of (packed key, raw) with distinct keys; None when all those
+    exponents are 0.  `powers` caches the row powers by (i, exp[i])."""
+    image = None
+    for i, entries in long:
+        e = exp[i]
+        if e:
+            pw = powers.get((i, e))
+            if pw is None:
+                pw = powers[i, e] = _row_power(field, entries, e)
+            image = pw if image is None else _convolve(field, lane, image, pw)
+    return image
+
+
+def _substitute_python(field, plan, lane, terms, powers):
+    """Image of a term dict as a dict from packed keys to lane-packed
+    coefficient sums, by one loop over the terms."""
+    _, shift, scaled, long = plan
+    q = field.q
     table = _lane_table(field, lane)
     spread = table[q:2 * q]                   # lanes of raw v at v*q + 1
-    prod = field.mul_table
-    fpow = field.pow_
+    prod, fpow = field.mul_table, field.pow_
     out = {}
     get = out.get
     for exp, c in terms.items():
         key = sum(map(mul, exp, shift))
         for i, ci in scaled:
             c = prod[c * q + fpow(ci, exp[i])]
-        image = None
-        for i, entries, cache in long:
-            e = exp[i]
-            if e:
-                pw = cache.get(e)
-                if pw is None:
-                    pw = cache[e] = _row_power(field, entries, e)
-                image = pw if image is None else _convolve(field, lane, image, pw)
+        image = _long_image(field, lane, long, exp, powers) if long else None
         if image is None:
             out[key] = get(key, 0) + spread[c]
             continue
@@ -592,7 +643,99 @@ def _substitute_terms(field, rows, terms):
         for k, ck in image:
             k += key
             out[k] = get(k, 0) + table[row + ck]
-    return _unpack(field, lane, out, shifts, [(1 << width) - 1] * n)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _log_arrays(field):
+    """The field's exponent and logarithm tables as read-only int64
+    arrays."""
+    tables = np.array(field._exp), np.array(field._log)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _substitute_pieces(field, plan, lane, exps, raws, powers):
+    """Outer sums of packed keys and lane-packed coefficients whose
+    _combine is the image of the terms with exponent rows `exps` and
+    raws `raws`, less than 2 * _CHUNK_PAIRS pairs at a time."""
+    width, shift, scaled, long = plan
+    q = field.q
+    keys = exps @ np.array(shift, dtype=np.int64)
+    if scaled:
+        # c * prod c_i^(e_i) is one gather: the logs add up mod q - 1
+        exp_t, log_t = _log_arrays(field)
+        cols = [i for i, _ in scaled]
+        logs = np.array([field._log[c] for _, c in scaled], dtype=np.int64)
+        raws = exp_t[(log_t[raws] + (exps[:, cols] % (q - 1)) @ logs) % (q - 1)]
+    table = _lane_array(field, lane)
+    # group the terms by their exponents on the long rows, packed in one
+    # int64 like a monomial
+    weights = np.array([1 << (k * width) for k in range(len(long))],
+                       dtype=np.int64)
+    group = exps[:, [i for i, _ in long]] @ weights
+    order = np.argsort(group, kind="stable")
+    group = group[order]
+    starts = np.flatnonzero(np.concatenate(([True], group[1:] != group[:-1])))
+    # small groups are yielded together, about _CHUNK_PAIRS pairs at a time
+    batch_k, batch_v, size = [], [], 0
+    for lo, hi in zip(starts.tolist(), starts[1:].tolist() + [len(order)]):
+        members = order[lo:hi]
+        image = _long_image(field, lane, long, exps[members[0]].tolist(), powers)
+        if image is None:
+            image = [(0, field.one)]
+        elif not image:
+            continue
+        image_keys = np.array([k for k, _ in image], dtype=np.int64)
+        image_raws = np.array([c for _, c in image], dtype=np.int64)
+        step = max(1, _CHUNK_PAIRS // len(image))
+        for i in range(0, len(members), step):
+            m = members[i:i + step]
+            batch_k.append((keys[m, None] + image_keys).ravel())
+            batch_v.append(table[raws[m, None] * q + image_raws].ravel())
+            size += len(batch_k[-1])
+            if size >= _CHUNK_PAIRS:
+                yield np.concatenate(batch_k), np.concatenate(batch_v)
+                batch_k, batch_v, size = [], [], 0
+    if batch_k:
+        yield np.concatenate(batch_k), np.concatenate(batch_v)
+
+
+def _substitute_arrays(field, plan, terms, top, exps, raws, powers):
+    """Image of a term dict as int64 arrays of distinct packed keys and
+    nonzero raws; exps and raws are the terms as arrays.  Lanes wider than
+    _INT64_BITS take the Python loop."""
+    lane = _substitution_lane(field, plan, len(terms), top)
+    if field.e * lane <= _INT64_BITS:
+        return _live(field, lane, *_accumulate(
+            _substitute_pieces(field, plan, lane, exps, raws, powers)))
+    out = _substitute_python(field, plan, lane, terms, powers)
+    _reduce_lanes(field, lane, out)
+    keys = np.fromiter(out, np.int64, len(out))
+    raws = np.fromiter(out.values(), np.int64, len(out))
+    live = raws != 0
+    return keys[live], raws[live]
+
+
+def _substitute_terms(field, rows, terms):
+    """Term dict of `terms` under x_i -> sum_j rows[i][j] x_j, rows given
+    as raw values."""
+    if not terms:
+        return {}
+    n = len(rows)
+    top = max(map(sum, terms))
+    plan = _row_plan(field, rows, top.bit_length())
+    width = plan[0]
+    shifts, masks = [j * width for j in range(n)], [(1 << width) - 1] * n
+    if len(terms) >= _NUMPY_MIN_PAIRS and n * width <= _INT64_BITS:
+        raws = np.fromiter(terms.values(), np.int64, len(terms))
+        keys, raws = _substitute_arrays(field, plan, terms, top,
+                                        _exp_array(terms), raws, {})
+        return _unpack_arrays(keys, raws, shifts, masks)
+    lane = _substitution_lane(field, plan, len(terms), top)
+    out = _substitute_python(field, plan, lane, terms, {})
+    return _unpack(field, lane, out, shifts, masks)
 
 
 def _convolve(field, lane, a, b):
@@ -937,12 +1080,13 @@ def tensor_act(g, u: TensorElement) -> TensorElement:
     combination of dx_k with coefficients from g^{-1}, so the top
     exterior class picks up det(g^{-1}).
     """
-    if g.field != u.field:
-        raise FieldMismatch(f"{g.field} vs {u.field}")
-    if g.n != u.n:
-        raise ArityMismatch(f"{g.n} vs {u.n}")
+    _check_action(g, u)
     field, n = u.field, u.n
     rows = g.inverse_rows()
+    packed = _tensor_parts(u)
+    if packed is not None:
+        keys, raws = _act_arrays(field, rows, n, *packed)
+        return _tensor_of_arrays(field, n, packed[0], keys, raws)
     out = {}
     for J, poly in u.parts.items():
         psub = poly.substitute_linear(rows)
@@ -957,6 +1101,108 @@ def tensor_act(g, u: TensorElement) -> TensorElement:
             else:
                 out[K] = total
     return TensorElement._make(field, n, out)
+
+
+def _is_fixed(gens, u: TensorElement) -> bool:
+    """True when every group matrix in gens fixes u.  On the numpy route u
+    is packed once, and each image is compared with it as sorted
+    arrays."""
+    packed = _tensor_parts(u)
+    if packed is None:
+        return all(tensor_act(g, u) == u for g in gens)
+    keys, raws = _pack_parts(u.n, *packed)
+    for g in gens:
+        _check_action(g, u)
+        image_keys, image_raws = _act_arrays(u.field, g.inverse_rows(), u.n,
+                                             *packed)
+        if not (np.array_equal(image_keys, keys)
+                and np.array_equal(image_raws, raws)):
+            return False
+    return True
+
+
+def _check_action(g, u):
+    if g.field != u.field:
+        raise FieldMismatch(f"{g.field} vs {u.field}")
+    if g.n != u.n:
+        raise ArityMismatch(f"{g.n} vs {u.n}")
+
+
+# An element on the numpy route is one pair of int64 arrays: each term's
+# key is its packed monomial, `width` bits per variable, with the bit mask
+# of its exterior word (bit j - 1 for dx_j) in the n bits above it.
+
+def _tensor_parts(u):
+    """(width, parts) for the numpy route, each part as (word, term dict,
+    top degree, exponent array, raw array); None when u is zero, is below
+    _NUMPY_MIN_PAIRS terms or its keys or lanes do not fit one int64."""
+    count = sum(len(poly.terms) for poly in u.parts.values())
+    if not count or count < _NUMPY_MIN_PAIRS:
+        return None
+    tops = [max(map(sum, poly.terms)) for poly in u.parts.values()]
+    width = max(tops).bit_length()
+    lane = _parts_lane(u.field, len(tops))
+    if max(u.n * (width + 1), u.field.e * lane) > _INT64_BITS:
+        return None
+    return width, [
+        (word, poly.terms, top, _exp_array(poly.terms),
+         np.fromiter(poly.terms.values(), np.int64, len(poly.terms)))
+        for (word, poly), top in zip(u.parts.items(), tops)]
+
+
+def _parts_lane(field, count):
+    """Lane width for the images of `count` parts: a key of the image
+    collects one raw from each part."""
+    return max(_LANE_BITS, (count * (field.p - 1)).bit_length())
+
+
+def _word_key(word, n, width):
+    """The bits an exterior word adds to the keys of its terms."""
+    return sum(1 << (j - 1) for j in word) << (n * width)
+
+
+def _pack_parts(n, width, parts):
+    """Sorted keys and their raws of the parts of _tensor_parts."""
+    weights = np.array([1 << (j * width) for j in range(n)], dtype=np.int64)
+    keys = np.concatenate([exps @ weights + _word_key(word, n, width)
+                           for word, _, _, exps, _ in parts])
+    order = np.argsort(keys)
+    return keys[order], np.concatenate([raws for *_, raws in parts])[order]
+
+
+def _act_arrays(field, rows, n, width, parts):
+    """Sorted keys and their raws, laid out as _pack_parts lays them, of
+    the image of the parts of _tensor_parts under dx -> rows dx and
+    x -> rows x."""
+    plan = _row_plan(field, rows, width)
+    lane = _parts_lane(field, len(parts))
+    table, q, powers = _lane_array(field, lane), field.q, {}
+    all_keys, all_vals = [], []
+    for word, terms, top, exps, raws in parts:
+        words = _exterior_image(field, rows, word)
+        if not words:
+            continue
+        keys, coeffs = _substitute_arrays(field, plan, terms, top, exps, raws,
+                                          powers)
+        for image_word, s in words.items():
+            all_keys.append(keys + _word_key(image_word, n, width))
+            all_vals.append(table[coeffs * q + s])
+    return _live(field, lane, *_combine(np.concatenate(all_keys),
+                                        np.concatenate(all_vals)))
+
+
+def _tensor_of_arrays(field, n, width, keys, raws):
+    """TensorElement of sorted keys and raws laid out as _pack_parts lays
+    them."""
+    shifts, masks = [j * width for j in range(n)], [(1 << width) - 1] * n
+    words, starts = np.unique(keys >> (n * width), return_index=True)
+    ends = starts[1:].tolist() + [len(keys)]
+    parts = {}
+    for mask, lo, hi in zip(words.tolist(), starts.tolist(), ends):
+        word = tuple(j + 1 for j in range(n) if mask >> j & 1)
+        parts[word] = Polynomial._make(field, n, _unpack_arrays(
+            keys[lo:hi], raws[lo:hi], shifts, masks))
+    return TensorElement._make(field, n, parts)
 
 
 # -- canonical JSON -----------------------------------------------------
@@ -991,25 +1237,39 @@ def from_json_dict(data) -> TensorElement:
         fd = data["field"]
         field = make_field(fd["p"], fd["e"], fd.get("modulus"))
         n = data["n"]
-        if not isinstance(n, int) or n < 0:
+        if type(n) is not int or n < 0:
             raise ValueError(f"bad variable count {n!r}")
-        parts = {}
-        for term in data["terms"]:
-            coeffs = term["c"]
-            if len(coeffs) != field.e:
-                raise ValueError(f"coefficient needs {field.e} coordinates")
-            exp = term["exp"]
-            if len(exp) != n:
-                raise ValueError(f"exponent tuple needs length {n}")
-            ext = tuple(int(j) for j in term["ext"])
-            if any(not 1 <= j <= n for j in ext) or list(ext) != sorted(set(ext)):
-                raise ValueError(f"bad exterior index tuple {ext}")
-            raw = field.element(coeffs).raw
+        terms = data["terms"]
+        coeffs = [term["c"] for term in terms]
+        exps = [term["exp"] for term in terms]
+        exts = [term["ext"] for term in terms]
+        # bool is an int subclass and 1.0 == 1, so each value's type is
+        # checked before any list is used as a dict key
+        for value in chain.from_iterable(chain(coeffs, exps, exts)):
+            if type(value) is not int:
+                raise ValueError(f"{value!r} is not an integer")
+        if any(len(c) != field.e for c in coeffs):
+            raise ValueError(f"coefficient needs {field.e} coordinates")
+        if any(len(exp) != n for exp in exps):
+            raise ValueError(f"exponent tuple needs length {n}")
+        # each distinct exterior word is checked, and each distinct
+        # coefficient converted, once
+        words, raws, parts = set(), {}, {}
+        for ext, exp, c in zip(exts, exps, coeffs):
+            ext = tuple(ext)
+            if ext not in words:
+                if any(not 1 <= j <= n for j in ext) or list(ext) != sorted(set(ext)):
+                    raise ValueError(f"bad exterior index tuple {ext}")
+                words.add(ext)
+            c = tuple(c)
+            raw = raws.get(c)
+            if raw is None:
+                raw = raws[c] = field.element(c).raw
             if raw == 0:
                 continue
             poly_terms = parts.setdefault(ext, {})
-            key = tuple(int(e) for e in exp)
-            if any(e < 0 for e in key):
+            key = tuple(exp)
+            if min(key, default=0) < 0:
                 raise ValueError(f"bad exponent tuple {key}")
             if key in poly_terms:
                 raise ValueError(f"duplicate term {key} in {ext}")

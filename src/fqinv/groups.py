@@ -264,7 +264,7 @@ def act(g: GroupMatrix, u):
 def is_invariant(u, group) -> bool:
     """True when every listed generator fixes u."""
     gens = group.generators if isinstance(group, GroupPresentation) else group
-    return all(algebra.tensor_act(g, u) == u for g in gens)
+    return algebra._is_fixed(gens, u)
 
 
 def group_order_bfs(group, cap: int = 10 ** 6) -> int:

@@ -296,6 +296,24 @@ def test_json_rejects_malformed_input():
         from_json(json.dumps(bad))
 
 
+@pytest.mark.parametrize("key, value", [
+    ("c", [1.5]), ("c", [2.0]), ("c", ["2"]), ("c", [True]),
+    ("exp", [1.7, 0]), ("exp", [1.0, 0]), ("exp", ["1", 0]), ("exp", [True, 0]),
+    ("ext", [1.9]), ("ext", [1.0]), ("ext", ["1"]), ("ext", [True]),
+    ("n", True), ("n", 2.0), ("n", "2"),
+])
+def test_json_rejects_non_integer_values(key, value):
+    # a JSON float, string or boolean is no integer, even where it
+    # equals one
+    data = json.loads(GOLDEN_JSON)
+    if key == "n":
+        data["n"] = value
+    else:
+        data["terms"][1][key] = value
+    with pytest.raises(SerializationError):
+        from_json(json.dumps(data))
+
+
 def test_pretty_rendering():
     f = x(F3, 2, 1, 3) * x(F3, 2, 2) + (x(F3, 2, 1) * x(F3, 2, 2, 3)).scale_raw(2)
     assert pretty_polynomial(f) == "x1^3*x2 + 2*x1*x2^3"

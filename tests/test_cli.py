@@ -110,6 +110,19 @@ def test_act_rejects_wrong_field(tmp_path, capsys):
     assert code == 2 and "error" in err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("c", 1.5), ("exp", 1.7), ("ext", 1.9), ("c", "2"), ("exp", True)])
+def test_act_rejects_non_integer_values(tmp_path, capsys, key, value):
+    data = json.loads(to_json(TensorElement.dx(F3, 2, (1,))))
+    data["terms"][0][key][0] = value
+    src = tmp_path / "in.json"
+    src.write_text(json.dumps(data), encoding="utf-8")
+    code, out, err = run(capsys, "act", "--case", "sl(2,3)",
+                         "--input", str(src), "--generator", "0")
+    # a bare exception would escape main() here instead of exiting 2
+    assert code == 2 and out == "" and err.startswith("error: ")
+
+
 def test_act_rejects_bad_generator_index(tmp_path, capsys):
     src = tmp_path / "in.json"
     src.write_text(to_json(TensorElement.dx(F3, 2, (1,))), encoding="utf-8")

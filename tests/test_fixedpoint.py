@@ -557,7 +557,8 @@ def test_cached_actions_are_read_only_and_bounded():
               *fixedpoint._level(F9, rows, 2, True),
               *fixedpoint._poly_steps(3, 4), *fixedpoint._word_steps(3, 2)]
     for field in ALL_FIELDS:
-        cached += [field.digit_table, field.product_array]
+        cached += [field.digit_table, field.product_array,
+                   *algebra._log_arrays(field)]
         with pytest.raises(TypeError):
             field.mul_table[0] = 1
     for a in cached:

@@ -1,13 +1,26 @@
 """The packed-key linear substitution against the tuple-keyed expansion it
-replaced, kept here as the oracle, and the group action built on it."""
+replaced, kept here as the oracle, and the group action built on it.  Each
+randomized test runs through every route of the kernel: the Python loop,
+and numpy, with full and with tiny chunks, for every input whose keys and
+lanes fit one int64."""
 
+from contextlib import contextmanager
 from math import comb
 
 import pytest
 from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
-from fqinv import GroupMatrix, Polynomial, TensorElement, tensor_act
+from fqinv import (
+    GroupMatrix,
+    Polynomial,
+    TensorElement,
+    algebra,
+    case_elements,
+    case_group,
+    is_invariant,
+    tensor_act,
+)
 
 from conftest import ALL_FIELDS, F3, F9, F125
 
@@ -16,6 +29,23 @@ SETTINGS = settings(max_examples=40, deadline=None, derandomize=True,
                     suppress_health_check=[HealthCheck.too_slow])
 
 KINDS = ("transvection", "monomial", "diagonal", "dense", "singular")
+# the kernel's routes: the Python loop, numpy with full chunks, and numpy
+# with chunks so small that every image spans many of them
+ROUTES = ("python", "numpy", "numpy-small-chunks")
+
+
+@contextmanager
+def forced(route):
+    """Send every substitution, action and product to one route, whatever
+    its size."""
+    saved = algebra._NUMPY_MIN_PAIRS, algebra._CHUNK_PAIRS
+    algebra._NUMPY_MIN_PAIRS = 1 << 62 if route == "python" else 0
+    if route == "numpy-small-chunks":
+        algebra._CHUNK_PAIRS = 8
+    try:
+        yield
+    finally:
+        algebra._NUMPY_MIN_PAIRS, algebra._CHUNK_PAIRS = saved
 
 
 def reference_power(field, n, entries, k):
@@ -146,6 +176,39 @@ def test_substitution_matches_reference(field, kind, data):
     terms = data.draw(term_dicts(field, n, 12 if cheap else 6,
                                  3 * field.p ** 2 if cheap else 7),
                       label="terms")
+    for route in ROUTES:
+        with forced(route):
+            check(field, n, rows, terms)
+
+
+@pytest.fixture
+def routes(monkeypatch):
+    """The routes the substitution kernel takes, in call order."""
+    taken = []
+    for route, name in (("python", "_substitute_python"),
+                        ("numpy", "_substitute_pieces"),
+                        ("tensor", "_act_arrays")):
+        def spy(*args, _route=route, _kernel=getattr(algebra, name)):
+            taken.append(_route)
+            return _kernel(*args)
+        monkeypatch.setattr(algebra, name, spy)
+    return taken
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("field", ALL_FIELDS, ids=repr)
+@seed(20261019)
+@settings(SETTINGS, max_examples=2)
+@given(data=st.data())
+def test_substitution_above_the_numpy_threshold(field, kind, data):
+    # real sizes, no forced route: enough terms for numpy, and every
+    # exponent small enough to keep the oracle cheap
+    size = algebra._NUMPY_MIN_PAIRS
+    n = data.draw(st.integers(2, 3), label="n")
+    rows = data.draw(matrices(field, n, kind), label="rows")
+    terms = data.draw(st.dictionaries(
+        st.tuples(*[st.integers(0, 16 if n == 2 else 6)] * n),
+        nonzero(field), min_size=size, max_size=size + 20), label="terms")
     check(field, n, rows, terms)
 
 
@@ -223,8 +286,64 @@ def test_action_is_a_left_action(field, data):
     g = data.draw(invertible(field, n), label="g")
     h = data.draw(invertible(field, n), label="h")
     u = data.draw(elements(field, n), label="u")
-    assert tensor_act(g * h, u) == tensor_act(g, tensor_act(h, u))
-    assert tensor_act(g, tensor_act(g.inverse(), u)) == u
+    for route in ROUTES:
+        with forced(route):
+            assert tensor_act(g * h, u) == tensor_act(g, tensor_act(h, u))
+            assert tensor_act(g, tensor_act(g.inverse(), u)) == u
+
+
+@pytest.mark.parametrize("field", ALL_FIELDS, ids=repr)
+@seed(20261019)
+@SETTINGS
+@given(data=st.data())
+def test_action_is_multiplicative(field, data):
+    # g.(uv) = (g.u)(g.v): the action respects the Koszul signs of the
+    # exterior products on both sides
+    n = data.draw(st.integers(1, 3), label="n")
+    g = data.draw(invertible(field, n), label="g")
+    u = data.draw(elements(field, n), label="u")
+    v = data.draw(elements(field, n), label="v")
+    for route in ROUTES:
+        with forced(route):
+            assert tensor_act(g, u * v) == tensor_act(g, u) * tensor_act(g, v)
+
+
+def changed_elements(u):
+    """u with one exterior part dropped, and u with the coefficient of the
+    first term of one part moved by 1, for every part."""
+    field = u.field
+    for word, poly in u.parts.items():
+        yield TensorElement._make(u.field, u.n, {
+            w: p for w, p in u.parts.items() if w != word})
+        exp, c = next(iter(poly.terms.items()))
+        terms = dict(poly.terms)
+        terms[exp] = field.add(c, field.one)
+        if not terms[exp]:
+            del terms[exp]
+        yield TensorElement._make(u.field, u.n, {
+            **u.parts, word: Polynomial._make(field, u.n, terms)})
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_is_invariant_rejects_a_changed_element(route):
+    # no monomial other than 1 is fixed by e7_4, so any change to one term
+    # or one part of an invariant leaves something the group moves
+    u = dict(case_elements("e7_4")[1])["O(x1)*Q[0,1](dx1dx2dx3dx4)"]
+    group = case_group("e7_4")
+    assert len(u.parts) > 1
+    assert sum(len(p.terms) for p in u.parts.values()) \
+        >= algebra._NUMPY_MIN_PAIRS
+    # the reflection x1 -> -x1 keeps every key, so only the raws tell
+    # u + x1 from its image u - x1
+    reflection = group.generators[-1]
+    assert reflection.rows[0][0] == u.field.neg(1)
+    x1 = TensorElement.from_polynomial(Polynomial.variable(u.field, u.n, 1))
+    with forced(route):
+        assert is_invariant(u, group)
+        for changed in changed_elements(u):
+            assert not is_invariant(changed, group)
+        assert is_invariant(u, [reflection])
+        assert not is_invariant(u + x1, [reflection])
 
 
 @pytest.mark.parametrize("field", (F3, F9), ids=repr)
@@ -249,3 +368,29 @@ def test_lanes_wider_than_int64():
     got = Polynomial._make(F125, 2, {(e, 0): 1, (0, 1): 2}).substitute_linear(rows)
     assert got.terms == {(e, 0): F125.pow_(t, e), (0, e): 1,
                          (1, 0): 2, (0, 1): F125.mul(2, t)}
+
+
+def test_routing_boundaries(routes):
+    # keys exactly _INT64_BITS wide go to numpy and one bit wider to the
+    # Python loop; the inputs of the two tests above stay on the Python
+    # loop even when every size goes to numpy
+    size, bits = algebra._NUMPY_MIN_PAIRS, algebra._INT64_BITS
+    scale = [[2]]                               # x1 -> 2 x1, dx1 -> 2 dx1
+    for width, route in ((bits, "numpy"), (bits + 1, "python")):
+        terms = {((1 << width) - 1 - k,): 1 for k in range(size)}
+        routes.clear()
+        check(F3, 1, scale, terms)
+        assert routes == [route], width
+    # a tensor element's keys carry n more bits for its exterior word
+    g = GroupMatrix.from_raw_rows(F3, scale)
+    for width, route in ((bits - 1, ["tensor", "numpy"]), (bits, ["numpy"])):
+        u = TensorElement._make(F3, 1, {(1,): Polynomial._make(
+            F3, 1, {((1 << width) - 1 - k,): 1 for k in range(size)})})
+        routes.clear()
+        assert tensor_act(g, tensor_act(g.inverse(), u)) == u
+        assert routes == route * 2, width
+    routes.clear()
+    with forced("numpy"):
+        test_exponents_past_one_machine_word(F3)
+        test_lanes_wider_than_int64()
+    assert routes and set(routes) == {"python"}
