@@ -3,6 +3,22 @@ odd finite fields: Milnor-type derivations, Dickson and orbit-product
 invariants, finite matrix group actions, and a brute-force fixed-space
 verifier for the predicted free module structures."""
 
+import os
+import sys
+
+# numpy's OpenBLAS starts a busy-waiting worker per core as it loads, which
+# costs every short fqinv process CPU time for no wall time (the only BLAS
+# call is one small product).  So it loads with one thread, unless the
+# caller chose a count or imported numpy already; OpenBLAS reads the
+# variable once, and it is removed again to leave os.environ as it was.
+if "numpy" not in sys.modules and not os.environ.keys() & {
+        "OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"}:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy  # noqa: F401
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+
 from .field import FieldElement, FieldSpec, enumerate_elements, make_field
 from .algebra import (
     Polynomial,

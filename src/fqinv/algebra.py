@@ -1265,8 +1265,6 @@ def from_json_dict(data) -> TensorElement:
             raw = raws.get(c)
             if raw is None:
                 raw = raws[c] = field.element(c).raw
-            if raw == 0:
-                continue
             poly_terms = parts.setdefault(ext, {})
             key = tuple(exp)
             if min(key, default=0) < 0:
@@ -1274,6 +1272,10 @@ def from_json_dict(data) -> TensorElement:
             if key in poly_terms:
                 raise ValueError(f"duplicate term {key} in {ext}")
             poly_terms[key] = raw
+        # zero terms are checked like any other, then left out
+        if 0 in raws.values():
+            parts = {ext: kept for ext, terms in parts.items()
+                     if (kept := {k: v for k, v in terms.items() if v})}
         # values are already canonical raws, so bypass the coercing
         # constructor (it would fold them into the prime subfield)
         return TensorElement._make(

@@ -114,6 +114,10 @@ class CapExceeded(FqinvError, RuntimeError):
     """Breadth-first closure grew past the requested cap."""
 
 
+class InvalidCap(FqinvError, ValueError):
+    """A breadth-first closure was asked for with a cap below 1."""
+
+
 class UnknownCase(FqinvError, ValueError):
     """A case name that the case table, or theorem_basis, does not know."""
 

@@ -22,6 +22,7 @@ from .errors import (
     CapExceeded,
     CaseFieldMismatch,
     FieldMismatch,
+    InvalidCap,
     SingularMatrix,
     UnknownCase,
 )
@@ -275,8 +276,11 @@ def group_order_bfs(group, cap: int = 10 ** 6) -> int:
     and each generator acts on those indices by one table.  Every field
     runs the same vectorised closure: over F_{p^e} a row is its n*e
     base-p digits, and g acts on them by its regular representation over
-    F_p.  Raises CapExceeded exactly when the order exceeds cap.
+    F_p.  Raises CapExceeded exactly when the order exceeds cap, and
+    InvalidCap for a cap below 1, which no group order can meet.
     """
+    if cap < 1:
+        raise InvalidCap(f"cap must be at least 1, got {cap}")
     gens = group.generators if isinstance(group, GroupPresentation) else list(group)
     if not gens:
         return 1

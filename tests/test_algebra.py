@@ -314,6 +314,35 @@ def test_json_rejects_non_integer_values(key, value):
         from_json(json.dumps(data))
 
 
+X1_TERM = {"c": [1], "exp": [1, 0], "ext": []}
+
+
+def _element(*terms):
+    return json.dumps({"field": {"p": 3, "e": 1, "modulus": None}, "n": 2,
+                       "terms": list(terms)}, separators=(",", ":"))
+
+
+@pytest.mark.parametrize("zero_term", [
+    {"c": [0], "exp": [-1, 0], "ext": []},  # negative exponent
+    {"c": [0], "exp": [1, 0], "ext": []},   # a second copy of x1's exponent
+], ids=["negative-exponent", "duplicate"])
+def test_json_checks_zero_coefficient_terms(zero_term):
+    with pytest.raises(SerializationError):
+        from_json(_element(X1_TERM, zero_term))
+    with pytest.raises(SerializationError):
+        from_json(_element(zero_term, X1_TERM))
+
+
+def test_json_leaves_out_valid_zero_terms():
+    # a zero term beside x1, and one alone in the word dx1
+    text = _element(X1_TERM, {"c": [0], "exp": [0, 2], "ext": []},
+                    {"c": [0], "exp": [1, 1], "ext": [1]})
+    u = from_json(text)
+    assert u == TensorElement.from_polynomial(x(F3, 2, 1))
+    assert list(u.parts) == [()]
+    assert to_json(u) == _element(X1_TERM)
+
+
 def test_pretty_rendering():
     f = x(F3, 2, 1, 3) * x(F3, 2, 2) + (x(F3, 2, 1) * x(F3, 2, 2, 3)).scale_raw(2)
     assert pretty_polynomial(f) == "x1^3*x2 + 2*x1*x2^3"

@@ -152,12 +152,15 @@ def test_usage_errors_exit_two(capsys):
     ["verify", "--case", "sl(2,3)", "--max-degree", "-1"],
     ["mui", "--n", "3", "--p", "3", "--I", "1,0"],
     ["mui", "--n", "3", "--p", "3", "--I", "0", "--det-form", "--r", "1"],
+    ["order", "--case", "e7_4", "--bfs", "--cap", "-5"],
+    ["order", "--case", "e7_4", "--bfs", "--cap", "0"],
 ], ids=" ".join)
 def test_bad_arguments_exit_two_with_one_line(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert "exceeded" not in err
 
 
 # SHA-256 of `fqinv opoly --n 4 --p 5 --i 1` as the tuple-keyed
@@ -176,15 +179,18 @@ def run_module(module, *argv, **env):
                           capture_output=True, env=env, timeout=300)
 
 
-def stdout_under_hash_seeds(*argv):
+def stdout_under_hash_seeds(*argv, blas_threads=()):
     """stdout of the command in fresh interpreters under PYTHONHASHSEED
-    0, 1 and 2; asserts the three are byte-identical."""
+    0, 1 and 2, then under each OPENBLAS_NUM_THREADS in blas_threads;
+    asserts they are all byte-identical."""
+    envs = [{"PYTHONHASHSEED": hash_seed} for hash_seed in ("0", "1", "2")]
+    envs += [{"OPENBLAS_NUM_THREADS": threads} for threads in blas_threads]
     outputs = []
-    for hash_seed in ("0", "1", "2"):
-        proc = run_module("fqinv.cli", *argv, PYTHONHASHSEED=hash_seed)
-        assert proc.returncode == 0, proc.stderr
+    for env in envs:
+        proc = run_module("fqinv.cli", *argv, **env)
+        assert proc.returncode == 0, (env, proc.stderr)
         outputs.append(proc.stdout)
-    assert outputs[0] == outputs[1] == outputs[2]
+    assert outputs.count(outputs[0]) == len(outputs)
     return outputs[0]
 
 
@@ -205,24 +211,31 @@ def test_opoly_output_ignores_the_hash_seed():
 
 
 # SHA-256 of each command's stdout as the tuple-keyed substitution and
-# multiplication printed it
-@pytest.mark.parametrize("argv, sha256", [
+# multiplication printed it.  The solver's float64 products must be exact
+# whatever order OpenBLAS sums them in, so the solver's entries also run
+# with one and with two BLAS threads.
+@pytest.mark.parametrize("argv, sha256, blas_threads", [
     # fixed dimensions to degree 30 plus invariance of the sl basis, which
     # runs the substitution kernel through tensor_act
     (("verify", "--case", "sl(3,3)"),
-     "fdde7ba3d8c2130432aee6e5241423db7fa3d626a5ac5a6a9d36b6c500380c2c"),
+     "fdde7ba3d8c2130432aee6e5241423db7fa3d626a5ac5a6a9d36b6c500380c2c",
+     ("1", "2")),
     (("mui", "--n", "4", "--p", "3", "--I", "0,2"),
-     "d9c0074b51bdbf4e185fd177511513f74997aca929e6c6e14d1407af354b833f"),
+     "d9c0074b51bdbf4e185fd177511513f74997aca929e6c6e14d1407af354b833f",
+     ()),
     # the solver's orbit kernel of two monomial generators, cut down by
     # transvections through block action columns; pinned to the output of
     # the solver that intersected one generator at a time
     (("fixed-dim", "--case", "e7_4", "--degree", "36"),
-     "0a44341eb99c2515b048669e1b1e66437c6c0e9af6df2d051ecf7c110bf34a27"),
+     "0a44341eb99c2515b048669e1b1e66437c6c0e9af6df2d051ecf7c110bf34a27",
+     ("1", "2")),
     (("verify", "--case", "e7_4", "--max-degree", "20"),
-     "6c38ac7a4adf74cf9baa3f068ece49220304b1bf8025d0dd73b957109ff340f4"),
+     "6c38ac7a4adf74cf9baa3f068ece49220304b1bf8025d0dd73b957109ff340f4",
+     ("1", "2")),
 ], ids=["verify", "mui", "fixed-dim-e7_4", "verify-e7_4"])
-def test_output_ignores_the_hash_seed(argv, sha256):
-    assert hashlib.sha256(stdout_under_hash_seeds(*argv)).hexdigest() == sha256
+def test_output_ignores_the_hash_seed(argv, sha256, blas_threads):
+    out = stdout_under_hash_seeds(*argv, blas_threads=blas_threads)
+    assert hashlib.sha256(out).hexdigest() == sha256
 
 
 def test_help_exits_zero(capsys):

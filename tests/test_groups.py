@@ -31,6 +31,7 @@ from fqinv.errors import (
     CaseFieldMismatch,
     FieldMismatch,
     FqinvError,
+    InvalidCap,
     SingularMatrix,
     UnknownCase,
 )
@@ -163,6 +164,19 @@ def test_bfs_orders_match_formulas():
 def test_bfs_cap_is_enforced():
     with pytest.raises(CapExceeded):
         group_order_bfs(gens_standard("sl", 2, F3), cap=10)
+
+
+@pytest.mark.parametrize("gens", [[], gens_standard("sl", 2, F3)],
+                         ids=["no-generators", "sl(2,3)"])
+@pytest.mark.parametrize("cap", [0, -5])
+def test_bfs_rejects_a_cap_below_one(gens, cap):
+    # checked before the trivial group's early return, and never reported
+    # as an overflow
+    with pytest.raises(InvalidCap) as info:
+        group_order_bfs(gens, cap=cap)
+    assert isinstance(info.value, FqinvError)
+    assert isinstance(info.value, ValueError)
+    assert group_order_bfs([], cap=1) == 1
 
 
 def reference_bfs(gens, cap):
