@@ -19,7 +19,7 @@ from bisect import bisect_left
 from functools import lru_cache
 from itertools import chain
 from math import comb, factorial
-from operator import mul
+from operator import index, mul
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from .errors import (
     IndexOutOfRange,
     NegativeDegree,
     NotAFieldValue,
+    NotAnInteger,
     NotARawValue,
     NotDivisible,
     SerializationError,
@@ -61,7 +62,7 @@ class Polynomial:
             for exp, c in terms.items():
                 raw = _coerce_raw(field, c)
                 if raw:
-                    exp = tuple(int(e) for e in exp)
+                    exp = _ints(exp, "exponent tuple")
                     if len(exp) != n:
                         raise ArityMismatch(
                             f"exponent tuple {exp} needs length {n}")
@@ -94,8 +95,11 @@ class Polynomial:
 
     @classmethod
     def variable(cls, field, n, i, power=1):
+        i, power = _ints((i, power), "variable index and power")
         if not 1 <= i <= n:
             raise IndexOutOfRange(f"variable index {i} not in 1..{n}")
+        if power < 0:
+            raise NegativeDegree(f"negative power {power}")
         exp = tuple(power if j == i - 1 else 0 for j in range(n))
         return cls._make(field, n, {exp: field.one})
 
@@ -268,6 +272,15 @@ def _coerce_raw(field, c) -> int:
     if isinstance(c, int):
         return c % field.p
     raise NotAFieldValue(f"cannot use {type(c).__name__} as a field value")
+
+
+def _ints(values, what):
+    """values as a tuple of ints; numpy integer scalars pass, a float or
+    any other non-integer raises NotAnInteger."""
+    try:
+        return tuple(map(index, values))
+    except TypeError:
+        raise NotAnInteger(f"{what} {values!r} holds a non-integer") from None
 
 
 def _raw_value(field, c) -> int:
@@ -473,19 +486,25 @@ def _mul_numpy(field, lane, layout, a, exps_a, b, exps_b):
 def _mul_python(field, lane, layout, a, b):
     """Product of two term dicts as one loop over packed int keys."""
     shifts, masks, _ = layout
-    table = _lane_table(field, lane)
-    q = field.q
-    packed_b = [(sum(x << s for x, s in zip(e, shifts)), c)
-                for e, c in b.items()]
+    packed_a, packed_b = ([(sum(x << s for x, s in zip(e, shifts)), c)
+                           for e, c in terms.items()] for terms in (a, b))
+    return _unpack(field, lane, _lane_sums(field, lane, packed_a, packed_b),
+                   shifts, masks)
+
+
+def _lane_sums(field, lane, a, b):
+    """Dict from the sums of packed keys to the lane-packed sums of
+    coefficient products, over every pair of the (packed key, raw) lists
+    a and b."""
+    table, q = _lane_table(field, lane), field.q
     out = {}
     get = out.get
-    for e, c in a.items():
-        ka = sum(x << s for x, s in zip(e, shifts))
-        row = c * q
-        for kb, cb in packed_b:
+    for ka, ca in a:
+        row = ca * q
+        for kb, cb in b:
             k = ka + kb
             out[k] = get(k, 0) + table[row + cb]
-    return _unpack(field, lane, out, shifts, masks)
+    return out
 
 
 def _mul_terms(field, a, b):
@@ -646,16 +665,6 @@ def _substitute_python(field, plan, lane, terms, powers):
     return out
 
 
-@lru_cache(maxsize=None)
-def _log_arrays(field):
-    """The field's exponent and logarithm tables as read-only int64
-    arrays."""
-    tables = np.array(field._exp), np.array(field._log)
-    for table in tables:
-        table.flags.writeable = False
-    return tables
-
-
 def _substitute_pieces(field, plan, lane, exps, raws, powers):
     """Outer sums of packed keys and lane-packed coefficients whose
     _combine is the image of the terms with exponent rows `exps` and
@@ -665,10 +674,11 @@ def _substitute_pieces(field, plan, lane, exps, raws, powers):
     keys = exps @ np.array(shift, dtype=np.int64)
     if scaled:
         # c * prod c_i^(e_i) is one gather: the logs add up mod q - 1
-        exp_t, log_t = _log_arrays(field)
+        log_t = field.log_array
         cols = [i for i, _ in scaled]
-        logs = np.array([field._log[c] for _, c in scaled], dtype=np.int64)
-        raws = exp_t[(log_t[raws] + (exps[:, cols] % (q - 1)) @ logs) % (q - 1)]
+        logs = log_t[[c for _, c in scaled]]
+        raws = field.exp_array[
+            (log_t[raws] + (exps[:, cols] % (q - 1)) @ logs) % (q - 1)]
     table = _lane_array(field, lane)
     # group the terms by their exponents on the long rows, packed in one
     # int64 like a monomial
@@ -741,14 +751,7 @@ def _substitute_terms(field, rows, terms):
 def _convolve(field, lane, a, b):
     """Product of two (packed key, raw) lists as a list with distinct
     keys and no zero raws."""
-    table, q = _lane_table(field, lane), field.q
-    out = {}
-    get = out.get
-    for ka, ca in a:
-        row = ca * q
-        for kb, cb in b:
-            k = ka + kb
-            out[k] = get(k, 0) + table[row + cb]
+    out = _lane_sums(field, lane, a, b)
     _reduce_lanes(field, lane, out)
     return [(k, raw) for k, raw in out.items() if raw]
 
@@ -813,7 +816,7 @@ class TensorElement:
         clean = {}
         if parts:
             for ext, poly in parts.items():
-                ext = tuple(int(j) for j in ext)
+                ext = _ints(ext, "exterior word")
                 if any(not 1 <= j <= n for j in ext) or list(ext) != sorted(set(ext)):
                     raise BadIndexTuple(f"bad exterior index tuple {ext}")
                 if not isinstance(poly, Polynomial):
@@ -848,7 +851,7 @@ class TensorElement:
     @classmethod
     def dx(cls, field, n, indices):
         """dx_{j_1} ^ ... ^ dx_{j_r} for strictly increasing indices."""
-        ext = tuple(int(j) for j in indices)
+        ext = _ints(indices, "exterior word")
         if list(ext) != sorted(set(ext)) or any(not 1 <= j <= n for j in ext):
             raise BadIndexTuple(f"indices must be strictly increasing in 1..{n}")
         return cls._make(field, n, {ext: Polynomial.one(field, n)})
@@ -862,12 +865,7 @@ class TensorElement:
         _check_same(self, other)
         out = dict(self.parts)
         for ext, poly in other.parts.items():
-            s = out.get(ext)
-            s = poly if s is None else s + poly
-            if s.is_zero():
-                out.pop(ext, None)
-            else:
-                out[ext] = s
+            _add_part(out, ext, poly)
         return TensorElement._make(self.field, self.n, out)
 
     __radd__ = __add__
@@ -904,14 +902,7 @@ class TensorElement:
                     continue
                 sign, ext = merged
                 prod = p1 * p2
-                if sign < 0:
-                    prod = -prod
-                s = out.get(ext)
-                s = prod if s is None else s + prod
-                if s.is_zero():
-                    out.pop(ext, None)
-                else:
-                    out[ext] = s
+                _add_part(out, ext, -prod if sign < 0 else prod)
         return TensorElement._make(field, self.n, out)
 
     def __rmul__(self, other):
@@ -991,14 +982,7 @@ class TensorElement:
             sign = _sort_sign(images)
             new_ext = tuple(sorted(images))
             p = poly.map_variables(new_n, mapping)
-            if sign < 0:
-                p = -p
-            prev = out.get(new_ext)
-            p = p if prev is None else prev + p
-            if p.is_zero():
-                out.pop(new_ext, None)
-            else:
-                out[new_ext] = p
+            _add_part(out, new_ext, -p if sign < 0 else p)
         return TensorElement._make(self.field, new_n, out)
 
     def __repr__(self):
@@ -1010,6 +994,17 @@ def _check_same_tp(t, poly):
         raise FieldMismatch(f"{t.field} vs {poly.field}")
     if t.n != poly.n:
         raise ArityMismatch(f"{t.n} variables vs {poly.n}")
+
+
+def _add_part(parts, word, poly):
+    """Add poly into parts[word] of an exterior-word dict, dropping the
+    word when the sum is zero."""
+    prev = parts.get(word)
+    total = poly if prev is None else prev + poly
+    if total.terms:
+        parts[word] = total
+    else:
+        parts.pop(word, None)
 
 
 def _as_tensor(like, other):
@@ -1091,15 +1086,7 @@ def tensor_act(g, u: TensorElement) -> TensorElement:
     for J, poly in u.parts.items():
         psub = poly.substitute_linear(rows)
         for K, s in _exterior_image(field, rows, J).items():
-            contrib = psub.scale_raw(s)
-            if contrib.is_zero():
-                continue
-            prev = out.get(K)
-            total = contrib if prev is None else prev + contrib
-            if total.is_zero():
-                out.pop(K, None)
-            else:
-                out[K] = total
+            _add_part(out, K, psub.scale_raw(s))
     return TensorElement._make(field, n, out)
 
 

@@ -103,16 +103,12 @@ def _render_report(rep):
     for name, flag in rep.invariance:
         lines.append(f"  {name}  {'ok' if flag else 'NOT INVARIANT'}")
     w = rep.wilkerson
-    if w is None:
-        lines.append("degree product: not applicable")
-    else:
-        prod = "*".join(str(h) for h in w.half_degrees)
-        mark = "ok" if w.product_matches else "MISMATCH"
-        lines.append(f"degree product: {prod} = {w.degree_product}, "
-                     f"group order {w.group_order}, {mark}")
-        if w.phi is not None:
-            lines.append("vanishing witness: "
-                         + ("ok" if w.phi.ok else "FAILED"))
+    prod = "*".join(str(h) for h in w.half_degrees)
+    mark = "ok" if w.product_matches else "MISMATCH"
+    lines.append(f"degree product: {prod} = {w.degree_product}, "
+                 f"group order {w.group_order}, {mark}")
+    if w.phi is not None:
+        lines.append("vanishing witness: " + ("ok" if w.phi.ok else "FAILED"))
     lines.append("result: " + ("PASS" if rep.ok else "FAIL"))
     return "\n".join(lines)
 
@@ -175,7 +171,8 @@ def _cmd_act(args):
         raise IndexOutOfRange(
             f"generator index {k} out of range, case {case.label} has "
             f"{len(group.generators)} generators")
-    var = _KINDS[case.kind].var
+    # named cases print in t, family cases in x
+    var = "x" if _KINDS[case.kind].q is None else "t"
     _emit_element(args, act(group.generators[k], u), var)
     return 0
 

@@ -50,6 +50,10 @@ class NotAFieldValue(FqinvError, TypeError):
     int nor a FieldElement."""
 
 
+class NotAnInteger(FqinvError, TypeError):
+    """An exponent, a power or an exterior index that is not an integer."""
+
+
 class DivisionByZero(FqinvError, ZeroDivisionError):
     pass
 
@@ -137,10 +141,6 @@ class InvalidModuleDescription(FqinvError, ValueError):
     """Free module degrees out of shape: a ring generator degree that is
     not positive, an empty basis, a negative basis degree, or basis degree
     0 more than once."""
-
-
-class NotApplicable(FqinvError, ValueError):
-    """The requested check is undefined for this case."""
 
 
 class NotInvariant(FqinvError, RuntimeError):

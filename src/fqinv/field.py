@@ -99,8 +99,8 @@ class FieldSpec:
     """Field description plus raw-int arithmetic.  Immutable once built."""
 
     __slots__ = ("p", "e", "q", "modulus", "digit_table", "product_array",
-                 "mul_table", "_add", "_neg", "_exp", "_log",
-                 "_coeffs")
+                 "mul_table", "exp_array", "log_array", "_add", "_neg",
+                 "_exp", "_log", "_coeffs")
 
     def __init__(self, p: int, e: int, modulus):
         self.p = p
@@ -127,9 +127,12 @@ class FieldSpec:
         exp = powers[:, 1 + np.argmin((powers[1:, 1:] == 1).any(axis=0))]
         log = np.zeros(q, dtype=np.int64)
         log[exp] = np.arange(q - 1)
-        regular.flags.writeable = products.flags.writeable = False
+        for table in (regular, products, exp, log):
+            table.flags.writeable = False
         self.digit_table = regular
         self.product_array = products
+        self.exp_array = exp
+        self.log_array = log
         self.mul_table = tuple(products.ravel().tolist())
         self._add = tuple(((digits[:, None] + digits) % p @ place).ravel()
                           .tolist())

@@ -25,9 +25,9 @@ The case table has one row per case kind.  A row ties the kind's group
 presentation to the free-module shape of its invariant ring (polynomial
 generator degrees plus module basis degrees, by formula), to explicitly
 constructed generator and basis elements, to a degree cap, and to whether
-the degree-product criterion and the integrality witness apply.  Named
-kinds that are a family case under another name (f4_3 is sl(3,3), e6_4
-shares the degrees and elements of parabolic(4,3)) reuse that row.
+the integrality witness applies.  Named kinds that are a family case
+under another name (f4_3 is sl(3,3), e6_4 shares the degrees and elements
+of parabolic(4,3)) reuse that row.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ from .errors import (
     FeasibilityCapExceeded,
     InvalidModuleDescription,
     NegativeDegree,
-    NotApplicable,
     NotInvariant,
     UnknownCase,
 )
@@ -734,8 +733,6 @@ class _Kind:
     min_n: int = 1
     standard: bool = False  # built by gens_standard, not by gens_case
     witness: bool = False   # integrality witness of the orbit product
-    product: bool = True    # degree-product criterion applies
-    var: str = "x"          # variable name of `act --pretty`
 
 
 def _reordered(base, order, **row):
@@ -783,9 +780,9 @@ _KINDS["parabolic"] = replace(
         [0] + _q_degrees(q, n - 1, index_subsets(n - 1, n - 2))
         + _q_degrees(q, n, index_subsets(n - 1))),
     elements=_parabolic_elements)
-_KINDS["f4_3"] = _reordered(_KINDS["sl"], (0, 2, 1), q=3, n=3, var="t")
+_KINDS["f4_3"] = _reordered(_KINDS["sl"], (0, 2, 1), q=3, n=3)
 _KINDS["e6_4"] = _reordered(
-    _KINDS["parabolic"], (1, 3, 2, 0), q=3, n=4, var="t",
+    _KINDS["parabolic"], (1, 3, 2, 0), q=3, n=4,
     gens=lambda field, n: _weyl(field, n, ()), cap=lambda n: 27)
 _KINDS["e7_4"] = _Kind(
     gens=lambda field, n: _weyl(field, n, (1,)),
@@ -793,7 +790,7 @@ _KINDS["e7_4"] = _Kind(
         [_deg_e(3, 3), _deg_c(3, 2, 3), _deg_c(3, 1, 3), 108],
         [0] + _q_degrees(3, 3, index_subsets(3, 2))
         + _q_degrees(3, 58, index_subsets(3))),
-    elements=_e7_4_elements, cap=lambda n: 24, q=3, n=4, var="t")
+    elements=_e7_4_elements, cap=lambda n: 24, q=3, n=4)
 _KINDS["e8_5a"] = _Kind(
     gens=lambda field, n: _weyl(field, n, (1, 5)),
     degrees=lambda q, n: (
@@ -801,9 +798,8 @@ _KINDS["e8_5a"] = _Kind(
         [0] + _q_degrees(3, 3, index_subsets(3, 2))
         + [3] + _q_degrees(3, 6, index_subsets(3, 2))
         + _q_degrees(3, 169, index_subsets(4))),
-    elements=_e8_5a_elements, cap=lambda n: 12, q=3, n=5, product=False,
-    var="t")
-_KINDS["e8_p5_3"] = _reordered(_KINDS["sl"], (0, 2, 1), q=5, n=3, var="t",
+    elements=_e8_5a_elements, cap=lambda n: 12, q=3, n=5)
+_KINDS["e8_p5_3"] = _reordered(_KINDS["sl"], (0, 2, 1), q=5, n=3,
                                cap=lambda n: 61)
 
 _LABEL_RE = re.compile(r"^(\w+)\((\d+),(\d+)\)$")
@@ -953,24 +949,13 @@ class WilkersonReport:
 
 def wilkerson_check(case) -> WilkersonReport:
     """Product of polynomial generator degrees against the group order,
-    plus the integrality witness for cases generated by an orbit product."""
+    plus the integrality witness for cases generated by an orbit product.
+    Every ring generator is a polynomial, of even cohomological degree."""
     c = _as_case(case)
-    row = _kind(c.kind)
-    if not row.product:
-        raise NotApplicable(
-            f"case {c.label} is outside the degree-product criterion; "
-            "module_description carries its polynomial subring data")
-    desc = module_description(c)
-    half = []
-    for deg in desc.algebra_gen_degrees:
-        if deg % 2:
-            raise NotApplicable(
-                f"case {c.label}: generator degree {deg} is not even")
-        half.append(deg // 2)
-    product = math.prod(half)
-    group = case_group(c)
-    phi = wilkerson_phi(c.field, c.n) if row.witness else None
-    return WilkersonReport(c.label, tuple(half), product, group.order, phi)
+    half = tuple(deg // 2 for deg in module_description(c).algebra_gen_degrees)
+    phi = wilkerson_phi(c.field, c.n) if _kind(c.kind).witness else None
+    return WilkersonReport(c.label, half, math.prod(half),
+                           case_group(c).order, phi)
 
 
 # -- verification ------------------------------------------------------------
@@ -993,13 +978,13 @@ class VerificationReport:
     case: str
     rows: tuple
     invariance: tuple
-    wilkerson: WilkersonReport | None
+    wilkerson: WilkersonReport
 
     @property
     def ok(self):
         return (all(r.match for r in self.rows)
                 and all(flag for _, flag in self.invariance)
-                and (self.wilkerson is None or self.wilkerson.ok))
+                and self.wilkerson.ok)
 
     def to_json_dict(self):
         return {
@@ -1009,9 +994,7 @@ class VerificationReport:
                      for r in self.rows],
             "invariance": [{"name": name, "invariant": flag}
                            for name, flag in self.invariance],
-            "wilkerson": (self.wilkerson.to_json_dict()
-                          if self.wilkerson is not None
-                          else {"applicable": False}),
+            "wilkerson": self.wilkerson.to_json_dict(),
             "ok": self.ok,
         }
 
@@ -1035,8 +1018,4 @@ def verify_module(case, d_max=None) -> VerificationReport:
     ring, basis = case_elements(c)
     invariance = tuple((name, is_invariant(el, group))
                        for name, el in ring + basis)
-    try:
-        wilk = wilkerson_check(c)
-    except NotApplicable:
-        wilk = None
-    return VerificationReport(c.label, rows, invariance, wilk)
+    return VerificationReport(c.label, rows, invariance, wilkerson_check(c))

@@ -14,7 +14,13 @@ index acts first on the argument).
 
 from __future__ import annotations
 
-from .algebra import Polynomial, TensorElement, _sort_sign, exact_divide
+from .algebra import (
+    Polynomial,
+    TensorElement,
+    _add_part,
+    _sort_sign,
+    exact_divide,
+)
 from .errors import (
     ArityTooSmall,
     BadIndexTuple,
@@ -45,14 +51,7 @@ def milnor_q(j: int, u: TensorElement) -> TensorElement:
             rest = ext[:pos] + ext[pos + 1:]
             xq = Polynomial.variable(field, n, var, power)
             contrib = poly * xq
-            if pos & 1:
-                contrib = -contrib
-            prev = out.get(rest)
-            total = contrib if prev is None else prev + contrib
-            if total.is_zero():
-                out.pop(rest, None)
-            else:
-                out[rest] = total
+            _add_part(out, rest, -contrib if pos & 1 else contrib)
     return TensorElement._make(field, n, out)
 
 

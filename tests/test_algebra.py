@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from fqinv import (
@@ -24,6 +25,7 @@ from fqinv.errors import (
     FqinvError,
     NegativeDegree,
     NotAFieldValue,
+    NotAnInteger,
     NotARawValue,
     NotDivisible,
     SerializationError,
@@ -228,6 +230,40 @@ def test_non_field_value_is_typed(build):
     with pytest.raises(NotAFieldValue) as info:
         build()
     assert isinstance(info.value, TypeError)
+
+
+def test_variable_reads_index_and_power_as_integers():
+    assert x(F3, 2, np.int64(1), np.int64(2)).terms == {(2, 0): 1}
+    assert type(next(iter(x(F3, 2, 1, np.int64(2)).terms))[0]) is int
+    with pytest.raises(NegativeDegree):
+        x(F3, 2, 1, -2)
+    for i, power in ((1, 1.5), (1, 2.0), (1.0, 1), ("1", 1)):
+        with pytest.raises(NotAnInteger) as info:
+            x(F3, 2, i, power)
+        assert isinstance(info.value, FqinvError)
+
+
+def test_polynomial_reads_exponents_as_integers():
+    f = Polynomial(F3, 2, {(np.int64(1), np.int32(0)): 1})
+    assert f == x(F3, 2, 1) and type(next(iter(f.terms))[0]) is int
+    for exp in ((1.7, 0), (1.0, 0), ("1", 0)):
+        with pytest.raises(NotAnInteger):
+            Polynomial(F3, 2, {exp: 1})
+
+
+def test_dx_reads_indices_as_integers():
+    assert dx(F3, 3, np.int64(1), 2) == dx(F3, 3, 1, 2)
+    for indices in ([1.9], [1, 2.0], ["1"]):
+        with pytest.raises(NotAnInteger):
+            TensorElement.dx(F3, 3, indices)
+
+
+def test_tensor_reads_exterior_words_as_integers():
+    one = Polynomial.one(F3, 2)
+    assert TensorElement(F3, 2, {(np.int64(2),): one}) == dx(F3, 2, 2)
+    for word in ((2.2,), (1, 2.0)):
+        with pytest.raises(NotAnInteger):
+            TensorElement(F3, 2, {word: one})
 
 
 def test_action_composition_and_identity(rng):

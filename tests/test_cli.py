@@ -14,7 +14,7 @@ from fqinv import cli
 from fqinv.algebra import TensorElement, from_json, to_json
 from fqinv.dickson import dickson_c, dickson_e, mui_q
 from fqinv.field import make_field
-from fqinv.fixedpoint import DegreeRow, VerificationReport
+from fqinv.fixedpoint import DegreeRow, VerificationReport, wilkerson_check
 from fqinv.groups import act, gens_standard
 
 from conftest import F3
@@ -278,6 +278,10 @@ def test_pretty_uses_t_names_for_named_cases(tmp_path, capsys):
                        "--generator", "0", "--pretty")
     assert code == 0
     assert "t1" in out or "dt1" in out
+    code, out, _ = run(capsys, "act", "--case", "sl(3,3)", "--input", str(src),
+                       "--generator", "0", "--pretty")
+    assert code == 0
+    assert "dx1" in out and "t" not in out
 
 
 def test_verify_mismatch_exits_one(capsys, monkeypatch):
@@ -285,7 +289,7 @@ def test_verify_mismatch_exits_one(capsys, monkeypatch):
         case="sl(2,3)",
         rows=(DegreeRow(0, 1, 2),),
         invariance=(),
-        wilkerson=None,
+        wilkerson=wilkerson_check("sl(2,3)"),
     )
     monkeypatch.setattr(cli, "verify_module", lambda *a, **k: rep)
     code, out, _ = run(capsys, "verify", "--case", "sl(2,3)",

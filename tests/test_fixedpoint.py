@@ -47,7 +47,6 @@ from fqinv.errors import (
     FeasibilityCapExceeded,
     InvalidModuleDescription,
     NegativeDegree,
-    NotApplicable,
     SingularMatrix,
     UnknownCase,
 )
@@ -557,8 +556,8 @@ def test_cached_actions_are_read_only_and_bounded():
               *fixedpoint._level(F9, rows, 2, True),
               *fixedpoint._poly_steps(3, 4), *fixedpoint._word_steps(3, 2)]
     for field in ALL_FIELDS:
-        cached += [field.digit_table, field.product_array,
-                   *algebra._log_arrays(field)]
+        cached += [field.digit_table, field.product_array, field.exp_array,
+                   field.log_array]
         with pytest.raises(TypeError):
             field.mul_table[0] = 1
     for a in cached:
@@ -927,9 +926,23 @@ def test_orbit_product_routes_stay_independent(monkeypatch):
     assert methods == ["product", "dickson_sum"]
 
 
-def test_degree_product_not_defined_for_widest_case():
-    with pytest.raises(NotApplicable):
-        wilkerson_check("e8_5a")
+def test_degree_product_of_widest_case():
+    rep = wilkerson_check("e8_5a")
+    assert rep.half_degrees == (2, 13, 18, 24, 162)
+    assert rep.degree_product == rep.group_order == 1819584
+    assert rep.ok
+
+
+def test_ring_generator_degrees_are_even():
+    # wilkerson_check halves every ring generator degree
+    labels = [kind for kind, row in fixedpoint._KINDS.items()
+              if row.q is not None]
+    labels += [f"{kind}({n},{q})" for kind, row in fixedpoint._KINDS.items()
+               if row.q is None
+               for n in range(row.min_n, 6) for q in (3, 5, 7)]
+    for label in labels:
+        degrees = module_description(label).algebra_gen_degrees
+        assert all(deg % 2 == 0 for deg in degrees), label
 
 
 # -- full verification -------------------------------------------------------
@@ -967,10 +980,12 @@ def test_verify_module_rejects_degrees_past_cap():
         verify_module("sl(2,3)", -1)
 
 
-def test_verify_module_reports_inapplicable_product_check():
+def test_verify_module_reports_product_check_of_widest_case():
     rep = verify_module("e8_5a", 4)
-    assert rep.wilkerson is None
-    assert rep.to_json_dict()["wilkerson"] == {"applicable": False}
+    assert rep.to_json_dict()["wilkerson"] == {
+        "case": "e8_5a", "half_degrees": [2, 13, 18, 24, 162],
+        "degree_product": 1819584, "group_order": 1819584,
+        "product_matches": True, "ok": True}
     assert rep.ok
 
 
