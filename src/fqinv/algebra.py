@@ -162,6 +162,7 @@ class Polynomial:
         )
 
     def __pow__(self, k: int):
+        (k,) = _ints((k,), "power")
         if k < 0:
             raise NegativeDegree("negative power of a polynomial")
         out = Polynomial.one(self.field, self.n)
@@ -229,6 +230,7 @@ class Polynomial:
 
     def project(self, i: int):
         """Set x_i = 0, keeping the variable count."""
+        (i,) = _ints((i,), "variable index")
         if not 1 <= i <= self.n:
             raise IndexOutOfRange(f"variable index {i} not in 1..{self.n}")
         return Polynomial._make(
@@ -242,6 +244,8 @@ class Polynomial:
         Exponents landing on the same target variable add up, so the map
         need not be injective (this is substitution x_i -> x_{mapping[i]}).
         """
+        new_n, *targets = _ints((new_n, *mapping.values()), "variable map")
+        mapping = dict(zip(mapping, targets))
         out = {}
         fadd = self.field.add
         for exp, c in self.terms.items():

@@ -25,7 +25,7 @@ from __future__ import annotations
 from functools import lru_cache, reduce
 from itertools import combinations, permutations, product
 
-from .algebra import Polynomial, TensorElement, _sort_sign, exact_divide
+from .algebra import Polynomial, TensorElement, _ints, _sort_sign, exact_divide
 from .errors import (
     ArityTooSmall,
     DegreeMismatch,
@@ -55,8 +55,9 @@ def index_subsets(n: int, max_size=None):
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)   # a float misses the int's entry
 def dickson_e(field: FieldSpec, n: int) -> Polynomial:
+    (n,) = _ints((n,), "n")
     if n < 1:
         raise ArityTooSmall("need n >= 1")
     full = milnor_composite(tuple(range(n)), top_form(field, n))
@@ -65,8 +66,9 @@ def dickson_e(field: FieldSpec, n: int) -> Polynomial:
     return poly
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def dickson_c(field: FieldSpec, n: int, i: int) -> Polynomial:
+    n, i = _ints((n, i), "n and coefficient index")
     if not 0 <= i <= n:
         raise IndexOutOfRange(f"coefficient index {i} not in 0..{n}")
     indices = tuple(j for j in range(n + 1) if j != i)
@@ -217,7 +219,7 @@ def mui_bracket(field: FieldSpec, r: int, i_list, n: int) -> TensorElement:
 
 def mui_q(field: FieldSpec, I, n: int) -> TensorElement:
     """Q_I applied to the top exterior class dx_1...dx_n."""
-    I = tuple(int(i) for i in I)
+    I = _ints(I, "operator index tuple")
     if any(not 0 <= i < n for i in I):
         raise IndexOutOfRange(f"index tuple {I} not inside 0..{n - 1}")
     return milnor_composite(I, top_form(field, n))

@@ -54,10 +54,10 @@ from .errors import (
 from .field import FieldSpec, make_field
 from .groups import (
     GroupPresentation,
-    _parabolic,
+    _affine,
+    _linear,
+    _sl_small,
     _translations,
-    _weyl,
-    gens_standard,
     is_invariant,
 )
 from .milnor import milnor_composite
@@ -731,7 +731,7 @@ class _Kind:
     q: int | None = None
     n: int | None = None
     min_n: int = 1
-    standard: bool = False  # built by gens_standard, not by gens_case
+    standard: bool = False  # a gens_standard family, which gens_case refuses
     witness: bool = False   # integrality witness of the orbit product
 
 
@@ -751,14 +751,15 @@ def _reordered(base, order, **row):
 # Rows are entered in the order the --case help lists them.
 _KINDS = {}
 _KINDS["sl"] = _Kind(
-    gens=lambda field, n: gens_standard("sl", n, field),
+    gens=lambda field, n: _linear("sl", n, field, _sl_small(field, n)),
     degrees=lambda q, n: (
         [_deg_e(n, q)] + [_deg_c(n, i, q) for i in range(1, n)],
         [0] + _q_degrees(q, n, index_subsets(n, n - 1))),
     elements=_sl_elements,
     cap=lambda n: 40 if n <= 2 else (30 if n == 3 else 12), standard=True)
 _KINDS["gl"] = replace(
-    _KINDS["sl"], gens=lambda field, n: gens_standard("gl", n, field),
+    _KINDS["sl"], gens=lambda field, n: _linear("gl", n, field,
+                                                _sl_small(field, n)),
     degrees=lambda q, n: (
         [_deg_c(n, i, q) for i in range(n)],
         [0] + _q_degrees(q, (q - 2) * _deg_e(n, q) + n,
@@ -773,7 +774,7 @@ _KINDS["g0"] = _Kind(
     elements=_g0_elements,
     cap=lambda n: 20 if n <= 3 else 12, min_n=2, witness=True)
 _KINDS["parabolic"] = replace(
-    _KINDS["g0"], gens=_parabolic,
+    _KINDS["g0"], gens=lambda field, n: _affine(field, n, n - 1),
     degrees=lambda q, n: (
         [2 * q ** (n - 1), _deg_e(n - 1, q)]
         + [_deg_c(n - 1, i, q) for i in range(1, n - 1)],
@@ -781,18 +782,17 @@ _KINDS["parabolic"] = replace(
         + _q_degrees(q, n, index_subsets(n - 1))),
     elements=_parabolic_elements)
 _KINDS["f4_3"] = _reordered(_KINDS["sl"], (0, 2, 1), q=3, n=3)
-_KINDS["e6_4"] = _reordered(
-    _KINDS["parabolic"], (1, 3, 2, 0), q=3, n=4,
-    gens=lambda field, n: _weyl(field, n, ()), cap=lambda n: 27)
+_KINDS["e6_4"] = _reordered(_KINDS["parabolic"], (1, 3, 2, 0), q=3, n=4,
+                            cap=lambda n: 27)
 _KINDS["e7_4"] = _Kind(
-    gens=lambda field, n: _weyl(field, n, (1,)),
+    gens=lambda field, n: _affine(field, n, 3, (1,)),
     degrees=lambda q, n: (
         [_deg_e(3, 3), _deg_c(3, 2, 3), _deg_c(3, 1, 3), 108],
         [0] + _q_degrees(3, 3, index_subsets(3, 2))
         + _q_degrees(3, 58, index_subsets(3))),
     elements=_e7_4_elements, cap=lambda n: 24, q=3, n=4)
 _KINDS["e8_5a"] = _Kind(
-    gens=lambda field, n: _weyl(field, n, (1, 5)),
+    gens=lambda field, n: _affine(field, n, 3, (1, 5)),
     degrees=lambda q, n: (
         [4, _deg_e(3, 3), _deg_c(3, 2, 3), _deg_c(3, 1, 3), 324],
         [0] + _q_degrees(3, 3, index_subsets(3, 2))

@@ -2,10 +2,10 @@
 
 A GroupMatrix stores its entries (raw field values, row tuples) plus the
 lazily computed inverse, which is what the contragredient action needs.
-gens_standard builds the special/general linear families; the other case
-kinds are rows of the case table in fixedpoint, whose generator builders
-live here.  Breadth-first closure provides an independent order count for
-everything of modest size.
+gens_standard lists every elementary transvection of the special/general
+linear families; the rows of the case table in fixedpoint take small
+generating sets, whose builders live here.  Breadth-first closure provides
+an independent order count for everything of modest size.
 """
 
 from __future__ import annotations
@@ -65,15 +65,9 @@ class GroupMatrix:
             return NotImplemented
         if self.field != other.field:
             raise FieldMismatch(f"{self.field} vs {other.field}")
-        f = self.field
         b_cols = list(zip(*other.rows))
-        rows = tuple(
-            tuple(
-                _dot(f, row, col) for col in b_cols
-            )
-            for row in self.rows
-        )
-        return GroupMatrix.from_raw_rows(f, rows)
+        return GroupMatrix.from_raw_rows(self.field, [
+            [_dot(self.field, row, col) for col in b_cols] for row in self.rows])
 
     def inverse_rows(self):
         """Rows of the inverse matrix as raw tuples (cached)."""
@@ -143,10 +137,8 @@ def transvection(field, n, i, j, c=1) -> GroupMatrix:
 
 
 def diagonal(field, entries) -> GroupMatrix:
-    n = len(entries)
-    return GroupMatrix(
-        field, [[entries[a] if a == b else 0 for b in range(n)] for a in range(n)]
-    )
+    return GroupMatrix(field, [[c if a == b else 0 for b in range(len(entries))]
+                               for a, c in enumerate(entries)])
 
 
 def gl_order(n: int, q: int) -> int:
@@ -168,41 +160,43 @@ def _omega_powers(field):
 def gens_standard(kind: str, n: int, field: FieldSpec) -> GroupPresentation:
     """Standard generator lists: every elementary transvection with each
     power-basis scalar for sl; the same plus one primitive diagonal for gl."""
+    return _linear(kind, n, field, [
+        transvection(field, n, i, j, w) for i in range(1, n + 1)
+        for j in range(1, n + 1) if i != j for w in _omega_powers(field)])
+
+
+def _linear(kind, n, field, gens):
+    """The sl or gl presentation on gens, which generate SL_n(F_q): sl(1, q)
+    lists the identity, and gl adds one primitive diagonal."""
     if kind not in ("sl", "gl"):
         raise UnknownCase(f"kind must be 'sl' or 'gl', got {kind!r}")
     if n < 1:
         raise ArityTooSmall("need n >= 1")
-    gens = []
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i != j:
-                for w in _omega_powers(field):
-                    gens.append(transvection(field, n, i, j, w))
-    order = sl_order(n, field.q)
-    if kind == "sl" and n == 1:
-        gens = [GroupMatrix.identity(field, 1)]  # trivial group
-    if kind == "gl":
-        gens.append(diagonal(field, [field.from_raw(field.primitive)]
-                             + [1] * (n - 1)))
-        order = gl_order(n, field.q)
-    return GroupPresentation(kind, n, field, tuple(gens), order)
+    if kind == "sl":
+        return GroupPresentation(kind, n, field, tuple(gens) or (
+            GroupMatrix.identity(field, 1),), sl_order(n, field.q))
+    diag = diagonal(field, [field.from_raw(field.primitive)] + [1] * (n - 1))
+    return GroupPresentation(kind, n, field, (*gens, diag), gl_order(n, field.q))
+
+
+def _sl_small(field, n):
+    """x1 -> x1 + w x2 for each power-basis scalar w and an n-cycle of
+    determinant 1, which generate SL_n(F_q) for n > 1: conjugates by the
+    cycle give every e_{i,i+1}(w), and their commutators every elementary
+    transvection (Taylor, The Geometry of the Classical Groups, 1992)."""
+    if n < 2:
+        return ()
+    cycle = [[int(j == (i - 1) % n) for j in range(n)] for i in range(n)]
+    cycle[0][n - 1] = (-1) ** (n + 1)       # an n-cycle's sign is (-1)^(n+1)
+    return (*(transvection(field, n, 1, 2, w) for w in _omega_powers(field)),
+            GroupMatrix(field, cycle))
 
 
 def _embed(field, n, offset, block: GroupMatrix) -> GroupMatrix:
     rows = [[int(a == b) for b in range(n)] for a in range(n)]
-    m = block.n
-    for a in range(m):
-        for b in range(m):
-            rows[offset + a][offset + b] = block.rows[a][b]
+    for a, row in enumerate(block.rows, offset):
+        rows[a][offset:offset + block.n] = row
     return GroupMatrix.from_raw_rows(field, rows)
-
-
-def _sl3_pair(field):
-    """A two-element generating pair for SL_3: one transvection plus the
-    cyclic permutation (an even permutation, so determinant 1)."""
-    t = transvection(field, 3, 1, 2, 1)
-    c = GroupMatrix(field, [[0, 0, 1], [1, 0, 0], [0, 1, 0]])
-    return t, c
 
 
 def _translations(field, n):
@@ -212,22 +206,21 @@ def _translations(field, n):
     return GroupPresentation("g0", n, field, tuple(gens), field.q ** (n - 1))
 
 
-def _parabolic(field, n):
-    """The translations extended by a special linear block on x_2..x_n."""
-    g0, block = _translations(field, n), gens_standard("sl", n - 1, field)
-    gens = g0.generators + tuple(_embed(field, n, 1, g) for g in block.generators)
-    return GroupPresentation("parabolic", n, field, gens, g0.order * block.order)
-
-
-def _weyl(field, n, reflections):
-    """The translations over the SL_3 pair on x_2..x_4, then one diagonal
-    reflection x_i -> -x_i for each listed i."""
+def _affine(field, n, size, reflections=()):
+    """The translations of x1 by span(x_2..x_n) under a special linear
+    block on x_2..x_{size+1}, then one diagonal reflection x_i -> -x_i for
+    each listed i.  A block of size 2 or more conjugates x1 -> x1 + x2 to
+    every translation by its span, so of those only x1 -> x1 + x2 is
+    listed; the translations by x_{size+2}..x_n all are."""
     g0 = _translations(field, n)
-    gens = g0.generators + tuple(_embed(field, n, 1, g) for g in _sl3_pair(field))
+    block = _linear("sl", size, field, _sl_small(field, size))
+    gens = (g0.generators[:1 if size > 1 else field.e]
+            + g0.generators[size * field.e:])
+    gens += tuple(_embed(field, n, 1, g) for g in block.generators)
     gens += tuple(diagonal(field, [-1 if j == i else 1 for j in range(1, n + 1)])
                   for i in reflections)
-    order = g0.order * sl_order(3, field.q) * 2 ** len(reflections)
-    return GroupPresentation("weyl", n, field, gens, order)
+    order = g0.order * block.order * 2 ** len(reflections)
+    return GroupPresentation("affine", n, field, gens, order)
 
 
 def gens_case(label: str, field: FieldSpec = None, n: int = None) -> GroupPresentation:

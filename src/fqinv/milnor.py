@@ -18,6 +18,7 @@ from .algebra import (
     Polynomial,
     TensorElement,
     _add_part,
+    _ints,
     _sort_sign,
     exact_divide,
 )
@@ -31,7 +32,7 @@ from .errors import (
 
 
 def _check_index_tuple(I):
-    I = tuple(int(i) for i in I)
+    I = _ints(I, "operator index tuple")
     if any(i < 0 for i in I):
         raise IndexOutOfRange(f"negative operator index in {I}")
     if list(I) != sorted(set(I)):

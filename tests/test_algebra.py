@@ -266,6 +266,22 @@ def test_tensor_reads_exterior_words_as_integers():
             TensorElement(F3, 2, {word: one})
 
 
+@pytest.mark.parametrize("call, numpy_ints, want, floats", [
+    (lambda f, a, b: f ** a, (np.int64(2), None), x(F3, 2, 1, 2),
+     [(1.5, None), (2.0, None)]),
+    (lambda f, a, b: f.project(a), (np.int64(1), None), Polynomial.zero(F3, 2),
+     [(1.5, None), (1.0, None)]),
+    (lambda f, a, b: f.map_variables(a, {1: b}), (np.int64(2), np.int64(2)),
+     x(F3, 2, 2), [(2, 1.5), (2.0, 2)]),
+], ids=["pow", "project", "map_variables"])
+def test_integer_arguments_reject_floats(call, numpy_ints, want, floats):
+    f = x(F3, 2, 1)
+    assert call(f, *numpy_ints) == want
+    for args in floats:
+        with pytest.raises(NotAnInteger):
+            call(f, *args)
+
+
 def test_action_composition_and_identity(rng):
     ident = diagonal(F3, [1, 1, 1])
     for _ in range(25):

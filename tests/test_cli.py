@@ -238,6 +238,28 @@ def test_output_ignores_the_hash_seed(argv, sha256, blas_threads):
     assert hashlib.sha256(out).hexdigest() == sha256
 
 
+BENCH_DIGESTS = Path(__file__).resolve().parent.parent / "perfbench" / \
+    "digests.json"
+
+
+# The benchmark's `series` jobs that no test above pins.  The benchmark
+# records the SHA-256 of each job's output, the compact key-sorted JSON of
+# its exit code and stdout, and fails a run whose output differs.
+@pytest.mark.parametrize("argv", [
+    ("verify", "--case", "e6_4", "--max-degree", "20"),
+    ("verify", "--case", "e7_4", "--max-degree", "20"),
+    ("verify", "--case", "e8_p5_3", "--max-degree", "30"),
+    ("order", "--case", "e7_4", "--bfs"),
+    ("order", "--case", "e8_p5_3", "--bfs"),
+], ids=lambda argv: " ".join(argv[:3]))
+def test_benchmark_outputs_match_their_recorded_digests(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    text = json.dumps({"rc": code, "stdout": out}, sort_keys=True,
+                      separators=(",", ":"))
+    want = json.loads(BENCH_DIGESTS.read_text())["cli: " + " ".join(argv)]
+    assert hashlib.sha256(text.encode()).hexdigest() == want
+
+
 def test_help_exits_zero(capsys):
     code, out, _ = run(capsys, "--help")
     assert code == 0

@@ -2,6 +2,7 @@
 
 from itertools import product
 
+import numpy as np
 import pytest
 
 from fqinv import (
@@ -28,6 +29,7 @@ from fqinv import (
 )
 from fqinv.errors import (
     IndexOutOfRange,
+    NotAnInteger,
     ProductTooLarge,
     UnknownCase,
     UnknownMethod,
@@ -93,6 +95,29 @@ def test_top_class_values():
     assert e1 == x(F3, 1, 1)
     assert dict(dickson_e(F3, 2).terms) == {(3, 1): 1, (1, 3): 2}
     assert dict(dickson_e(F5, 2).terms) == {(5, 1): 1, (1, 5): 4}
+
+
+def test_top_class_reads_n_as_an_integer():
+    # 2.0 == 2 and hashes alike, so the cache must key on the type too
+    assert dickson_e(F3, np.int64(2)) == dickson_e(F3, 2)
+    for n in (2.0, 1.5):
+        with pytest.raises(NotAnInteger):
+            dickson_e(F3, n)
+
+
+def test_coefficient_classes_read_integers():
+    assert dickson_c(F3, np.int64(2), np.int64(1)) == dickson_c(F3, 2, 1)
+    for n, i in ((2, 1.0), (2, 1.5), (2.0, 1)):
+        with pytest.raises(NotAnInteger):
+            dickson_c(F3, n, i)
+
+
+def test_derivation_images_read_operator_indices_as_integers():
+    # a truncated 0.5 would apply Q_0
+    assert mui_q(F3, (np.int64(0),), 2) == mui_q(F3, (0,), 2)
+    for I in ((0.5,), (0, 1.0)):
+        with pytest.raises(NotAnInteger):
+            mui_q(F3, I, 2)
 
 
 def test_top_class_is_product_of_lines():

@@ -41,7 +41,7 @@ from fqinv import (
     wilkerson_check,
     wilkerson_phi,
 )
-from fqinv import algebra, fixedpoint
+from fqinv import algebra, fixedpoint, groups
 from fqinv.errors import (
     ArityTooSmall,
     FeasibilityCapExceeded,
@@ -802,6 +802,44 @@ def test_basis_cap_guards_large_degrees():
     sl5 = gens_standard("sl", 5, F3)
     with pytest.raises(FeasibilityCapExceeded):
         fixed_dim(sl5, 100)
+
+
+def full_lists(field):
+    """(small list, full list, top degree) per case row over field.  The
+    case rows hand the solver small generating sets; the full lists name
+    every elementary transvection of each special linear block and every
+    translation x1 -> x1 + w x_j, w a power-basis scalar.  e6_4 is
+    parabolic(4,3); e7_4 and e8_5a are taken over field too."""
+    def family(kind, n):
+        return case_group(Case(f"{kind}({n},{field.q})", kind, field, n))
+
+    def block(n, m):
+        return tuple(groups._embed(field, n, 1, g)
+                     for g in gens_standard("sl", m, field).generators)
+
+    def reflection(n, i):
+        return diagonal(field, [-1 if j == i else 1 for j in range(1, n + 1)])
+
+    rows = {f"{kind}({n})": (family(kind, n),
+                             gens_standard(kind, n, field).generators, top)
+            for kind in ("sl", "gl") for n, top in ((2, 8), (3, 5))}
+    for n, top in ((2, 6), (3, 5), (4, 4)):
+        rows[f"parabolic({n})"] = (
+            family("parabolic", n),
+            groups._translations(field, n).generators + block(n, n - 1), top)
+    for label, n, refl, top in (("e7_4", 4, (1,), 4), ("e8_5a", 5, (1, 5), 3)):
+        rows[label] = (groups._affine(field, n, 3, refl),
+                       groups._translations(field, n).generators
+                       + block(n, 3) + tuple(reflection(n, i) for i in refl),
+                       top)
+    return rows
+
+
+@pytest.mark.parametrize("field", ALL_FIELDS, ids=repr)
+def test_small_generating_sets_fix_what_the_full_lists_fix(field):
+    for label, (small, full, top) in full_lists(field).items():
+        for d in range(top + 1):
+            assert fixed_dim(small, d) == fixed_dim(list(full), d), (label, d)
 
 
 # -- cases -------------------------------------------------------------------

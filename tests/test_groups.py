@@ -1,5 +1,6 @@
 """Matrix groups: arithmetic, presentations, orders, invariance."""
 
+import itertools
 from collections import deque
 
 import numpy as np
@@ -35,8 +36,9 @@ from fqinv.errors import (
     SingularMatrix,
     UnknownCase,
 )
+from fqinv.fixedpoint import _KINDS, Case, case_group, parse_case
 
-from conftest import F3, F5, F9, F25, random_invertible
+from conftest import ALL_FIELDS, F3, F5, F9, F25, random_invertible
 
 SETTINGS = settings(max_examples=30, deadline=None, derandomize=True,
                     database=None,
@@ -114,14 +116,19 @@ def test_standard_generators():
 
 
 def test_case_presentations():
+    # Over a prime field a small SL_m set is one transvection and one
+    # m-cycle.  g0 translates x1 by x2 and by x3; parabolic keeps the
+    # translation by x2 under its SL_2 block; the Weyl rows keep it and the
+    # translation by x5 (e8_5a), under the SL_3 block, then one reflection
+    # per reflected variable (none, x1, and x1 and x5).
     table = {
         "g0": (3, F3, 2, 9),
-        "parabolic": (3, F3, 4, 216),
-        "f4_3": (3, F3, 6, 5616),
-        "e6_4": (4, F3, 5, 151632),
-        "e7_4": (4, F3, 6, 303264),
-        "e8_5a": (5, F3, 8, 1819584),
-        "e8_p5_3": (3, F5, 6, 372000),
+        "parabolic": (3, F3, 1 + 2, 216),
+        "f4_3": (3, F3, 2, 5616),
+        "e6_4": (4, F3, 1 + 2, 151632),
+        "e7_4": (4, F3, 1 + 2 + 1, 303264),
+        "e8_5a": (5, F3, 2 + 2 + 2, 1819584),
+        "e8_p5_3": (3, F5, 2, 372000),
     }
     for label, (n, field, k, order) in table.items():
         if label in ("g0", "parabolic"):
@@ -152,6 +159,40 @@ def test_parameterized_case_needs_field_and_n(label, field, n):
     with pytest.raises(CaseFieldMismatch) as info:
         gens_case(label, field, n)
     assert isinstance(info.value, ValueError)
+
+
+@pytest.mark.parametrize("field", (F3, F5), ids=repr)
+def test_small_sl3_set_over_a_prime_field(field):
+    t, c = groups._sl_small(field, 3)
+    assert t.rows == ((1, 1, 0), (0, 1, 0), (0, 0, 1))
+    assert c.rows == ((0, 0, 1), (1, 0, 0), (0, 1, 0))
+
+
+def case_rows():
+    """Every case row: the families at n <= 4 over the six conftest fields
+    wherever the formula order is at most 10^6, and the named rows."""
+    for kind in ("sl", "gl", "g0", "parabolic"):
+        for n, field in itertools.product(range(1, 5), ALL_FIELDS):
+            case = Case(f"{kind}({n},{field.q})", kind, field, n)
+            if n >= _KINDS[kind].min_n and case_group(case).order <= 10 ** 6:
+                yield case
+    for label in ("f4_3", "e6_4", "e7_4", "e8_5a", "e8_p5_3"):
+        yield parse_case(label)
+
+
+@pytest.mark.parametrize("case", case_rows(), ids=lambda case: case.label)
+def test_case_generators_reach_the_formula_order(case):
+    # the generators lie in the group the formula counts, so reaching its
+    # order proves that they generate it
+    pres = case_group(case)
+    assert group_order_bfs(pres, cap=2 * 10 ** 6) == pres.order
+    # `act --generator 0` applies x1 -> x1 + x2, or sl(1,q)'s and gl(1,q)'s
+    # only standard generator
+    if case.n > 1:
+        assert pres.generators[0] == transvection(case.field, case.n, 1, 2)
+    else:
+        assert pres.generators == gens_standard(case.kind, 1,
+                                                case.field).generators
 
 
 def test_bfs_orders_match_formulas():

@@ -1,5 +1,6 @@
 """Derivation laws for the odd operations Q_j and their composites."""
 
+import numpy as np
 import pytest
 
 from fqinv import (
@@ -15,7 +16,7 @@ from fqinv import (
     sign,
     tensor_act,
 )
-from fqinv.errors import DegreeMismatch, IndexOutOfRange
+from fqinv.errors import DegreeMismatch, IndexOutOfRange, NotAnInteger
 
 from conftest import F3, F9, random_invertible, random_polynomial, random_tensor
 
@@ -37,6 +38,17 @@ def test_action_on_generators():
     assert milnor_q(0, poly).is_zero()
     with pytest.raises(IndexOutOfRange):
         milnor_q(-1, dx(F3, 2, 1))
+
+
+def test_composite_reads_operator_indices_as_integers():
+    # a truncated 0.5 would apply Q_0
+    assert milnor_composite((np.int64(0),), dx(F3, 2, 1)) == \
+        milnor_q(0, dx(F3, 2, 1))
+    for I in ((0.5,), (0, 1.0), ("0",)):
+        with pytest.raises(NotAnInteger):
+            milnor_composite(I, dx(F3, 2, 1, 2))
+        with pytest.raises(NotAnInteger):
+            sign(I, ())
 
 
 def test_polynomial_coefficients_pass_through(rng):
