@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from functools import lru_cache
 from itertools import chain
-from math import comb, factorial
+from math import factorial
 from operator import index, mul
 
 import numpy as np
@@ -316,63 +315,26 @@ def _raw_rows(field, n, rows):
 # An exponent tuple packs into one int, each variable in a bit field wide
 # enough that the exponents of a product never carry, so multiplying two
 # monomials is one int addition (the packed monomials of Monagan & Pearce,
-# "Sparse polynomial division using a heap", JSC 2011).  Coefficient
-# products come from a table that spreads the e power-basis coordinates of
-# each field product into separate bit lanes, so adding them up is plain
-# int addition as well; every lane is reduced mod p once, at the end.
+# "Sparse polynomial division using a heap", JSC 2011).  Coefficients stay
+# field raws throughout.  The Python loop reads each coefficient product
+# from the field's product table and adds it to its key's running sum with
+# one read of the add table.  The numpy route gathers the products from
+# product_array and adds those of equal keys with FieldSpec.sum_duplicates,
+# the digit sum that the solver uses too.
 
-# numpy outer sums beat the Python loop from about 64 pairs on (by 1.3-2.8x
-# at 128 pairs, on F3, F5, F9 and F125).  Chunks of 2^12 to 2^18 pairs take
+# The two routes take about the same time at 128 pairs (0.9-1.3x), and
+# numpy outer sums are 1.2-1.5x faster at 256 pairs, on F3, F5, F9 and F125
+# (4 variables, a 2-core x86-64 machine).  Chunks of 2^12 to 2^18 pairs take
 # the same time on O(x1) over F5 in 4 variables; from 2^17 on they add to
 # the peak RSS.
 _NUMPY_MIN_PAIRS = 1 << 7    # smaller products run as a Python loop
 _CHUNK_PAIRS = 1 << 15       # outer-sum pairs numpy forms at once
-_INT64_BITS = 62             # widest packed key or lane word numpy takes
-_LANE_BITS = 16              # narrowest coordinate lane
+_INT64_BITS = 62             # widest packed key numpy takes
 
 
-@lru_cache(maxsize=None)
-def _lane_table(field, lane):
-    """Products of raws a*b at index a*q + b, their coordinates spread
-    into lanes of `lane` bits."""
-    spread = [sum(c << (i * lane) for i, c in enumerate(field.coeffs(v)))
-              for v in range(field.q)]
-    return [spread[v] for v in field.mul_table]
-
-
-@lru_cache(maxsize=None)
-def _lane_array(field, lane):
-    """_lane_table as an int64 array, for lanes that fit in one."""
-    return np.array(_lane_table(field, lane), dtype=np.int64)
-
-
-def _raw_of_lanes(v, field, lane):
-    """Field raw of lane-packed coordinate sums; v is an int or an int64
-    array."""
-    p, mask = field.p, (1 << lane) - 1
-    raw = 0
-    for i in range(field.e):
-        raw = raw + ((v >> (i * lane)) & mask) % p * p ** i
-    return raw
-
-
-def _reduce_lanes(field, lane, out):
-    """Replace every lane-packed coefficient sum in the dict `out` by its
-    field raw."""
-    if field.e == 1:
-        p = field.p
-        for k, v in out.items():
-            out[k] = v % p
-    else:
-        for k, v in out.items():
-            out[k] = _raw_of_lanes(v, field, lane)
-
-
-def _unpack(field, lane, out, shifts, masks):
-    """Term dict of lane-packed coefficient sums keyed by packed
-    exponents; every lane is reduced here, once, and zeros dropped.
-    Empties `out`."""
-    _reduce_lanes(field, lane, out)
+def _unpack(out, shifts, masks):
+    """Term dict of a dict from packed exponents to raws, zero raws
+    dropped.  Empties `out`."""
     cols = [[(k >> s) & m for k, v in out.items() if v]
             for s, m in zip(shifts, masks)]
     raws = [v for v in out.values() if v]
@@ -391,42 +353,27 @@ def _shift_terms(field, exp, c, terms):
             for e, v in terms.items()}
 
 
-def _combine(keys, vals):
-    """Sort by key and add up the values of equal keys."""
-    order = np.argsort(keys, kind="stable")
-    keys, vals = keys[order], vals[order]
-    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-    return keys[starts], np.add.reduceat(vals, starts)
-
-
-def _accumulate(pieces):
-    """_combine of every (keys, values) pair that `pieces` yields.  Each
-    piece is combined as it comes; combined pieces merge into the running
-    result once they outgrow it."""
+def _accumulate(field, pieces):
+    """FieldSpec.sum_duplicates of every (keys, raws) pair that `pieces`
+    yields.  Each piece is summed as it comes; summed pieces merge into the
+    running result once they outgrow it."""
     run_k = run_v = np.empty(0, dtype=np.int64)
     parts_k, parts_v, pending = [], [], 0
-    for keys, vals in pieces:
-        k, v = _combine(keys, vals)
-        del keys, vals            # not alive while the next piece is formed
+    for keys, raws in pieces:
+        k, v = field.sum_duplicates(keys, raws)
+        del keys, raws            # not alive while the next piece is formed
         parts_k.append(k)
         parts_v.append(v)
         pending += len(k)
         if pending >= max(len(run_k), _CHUNK_PAIRS):
-            run_k, run_v = _combine(np.concatenate([run_k] + parts_k),
-                                    np.concatenate([run_v] + parts_v))
+            run_k, run_v = field.sum_duplicates(
+                np.concatenate([run_k] + parts_k),
+                np.concatenate([run_v] + parts_v))
             parts_k, parts_v, pending = [], [], 0
     if parts_k:
-        run_k, run_v = _combine(np.concatenate([run_k] + parts_k),
-                                np.concatenate([run_v] + parts_v))
+        run_k, run_v = field.sum_duplicates(np.concatenate([run_k] + parts_k),
+                                            np.concatenate([run_v] + parts_v))
     return run_k, run_v
-
-
-def _live(field, lane, keys, vals):
-    """Keys and field raws of lane-packed coefficient sums, zeros
-    dropped."""
-    raws = _raw_of_lanes(vals, field, lane)
-    live = raws != 0
-    return keys[live], raws[live]
 
 
 def _unpack_arrays(keys, raws, shifts, masks):
@@ -459,55 +406,51 @@ def _exp_array(terms):
     return flat.reshape(len(terms), n)
 
 
-def _mul_pieces(field, lane, weights, a, exps_a, b, exps_b):
-    """The outer sums of two term dicts' packed keys and lane-packed
-    coefficient products, at most _CHUNK_PAIRS pairs at a time."""
+def _mul_pieces(field, weights, a, exps_a, b, exps_b):
+    """The outer sums of two term dicts' packed keys and their coefficient
+    products, at most _CHUNK_PAIRS pairs at a time."""
     ka, kb = exps_a @ weights, exps_b @ weights
-    ca = np.fromiter(a.values(), np.int64, len(a)) * field.q
+    ca = np.fromiter(a.values(), np.int64, len(a))
     cb = np.fromiter(b.values(), np.int64, len(b))
-    table = _lane_array(field, lane)
+    table = field.product_array
     step_b = min(len(kb), _CHUNK_PAIRS)
     step_a = _CHUNK_PAIRS // step_b
     for i in range(0, len(ka), step_a):
         for j in range(0, len(kb), step_b):
             keys = ka[i:i + step_a, None] + kb[None, j:j + step_b]
-            rows = ca[i:i + step_a, None] + cb[None, j:j + step_b]
-            yield keys.ravel(), table[rows.ravel()]
+            raws = table[ca[i:i + step_a, None], cb[None, j:j + step_b]]
+            yield keys.ravel(), raws.ravel()
 
 
-def _mul_numpy(field, lane, layout, a, exps_a, b, exps_b):
+def _mul_numpy(field, layout, a, exps_a, b, exps_b):
     """Product of two term dicts through numpy outer sums."""
     shifts, masks, _ = layout
     weights = np.array([1 << s for s in shifts], dtype=np.int64)
-    keys, vals = _accumulate(
-        _mul_pieces(field, lane, weights, a, exps_a, b, exps_b))
-    # only the result stays alive while it is unpacked
-    keys, raws = _live(field, lane, keys, vals)
-    del vals
+    keys, raws = _accumulate(
+        field, _mul_pieces(field, weights, a, exps_a, b, exps_b))
     return _unpack_arrays(keys, raws, shifts, masks)
 
 
-def _mul_python(field, lane, layout, a, b):
+def _mul_python(field, layout, a, b):
     """Product of two term dicts as one loop over packed int keys."""
     shifts, masks, _ = layout
     packed_a, packed_b = ([(sum(x << s for x, s in zip(e, shifts)), c)
                            for e, c in terms.items()] for terms in (a, b))
-    return _unpack(field, lane, _lane_sums(field, lane, packed_a, packed_b),
-                   shifts, masks)
+    return _unpack(_pair_sums(field, packed_a, packed_b), shifts, masks)
 
 
-def _lane_sums(field, lane, a, b):
-    """Dict from the sums of packed keys to the lane-packed sums of
-    coefficient products, over every pair of the (packed key, raw) lists
-    a and b."""
-    table, q = _lane_table(field, lane), field.q
+def _pair_sums(field, a, b):
+    """Dict from the sums of packed keys to the F_q sums, zeros included,
+    of the coefficient products over every pair of the (packed key, raw)
+    lists a and b."""
+    prod, add, q = field.mul_table, field.add_table, field.q
     out = {}
     get = out.get
     for ka, ca in a:
         row = ca * q
         for kb, cb in b:
             k = ka + kb
-            out[k] = get(k, 0) + table[row + cb]
+            out[k] = add[get(k, 0) * q + prod[row + cb]]
     return out
 
 
@@ -520,17 +463,15 @@ def _mul_terms(field, a, b):
     if len(a) == 1:
         (exp, c), = a.items()
         return _shift_terms(field, exp, c, b)
-    # one product key collects at most len(a) coefficient products
-    lane = max(_LANE_BITS, (len(a) * (field.p - 1)).bit_length())
-    if len(a) * len(b) >= _NUMPY_MIN_PAIRS and field.e * lane <= _INT64_BITS:
+    if len(a) * len(b) >= _NUMPY_MIN_PAIRS:
         exps_a, exps_b = _exp_array(a), _exp_array(b)
         if exps_a is not None and exps_b is not None:
             layout = _layout(exps_a.max(axis=0).tolist(),
                              exps_b.max(axis=0).tolist())
             if layout[2] <= _INT64_BITS:
-                return _mul_numpy(field, lane, layout, a, exps_a, b, exps_b)
+                return _mul_numpy(field, layout, a, exps_a, b, exps_b)
     layout = _layout([max(col) for col in zip(*a)], [max(col) for col in zip(*b)])
-    return _mul_python(field, lane, layout, a, b)
+    return _mul_python(field, layout, a, b)
 
 
 # -- packed-key linear substitution --------------------------------------
@@ -556,10 +497,11 @@ def _mul_terms(field, a, b):
 # image of those rows is built once per group, as above, and expanded
 # against the group's keys and coefficients by one outer sum.  tensor_act
 # runs this kernel on every exterior part and adds all the parts' images
-# in one _combine, each key carrying its exterior word's bit mask above
-# the packed monomial; is_invariant compares those sorted arrays directly.
-# Inputs below _NUMPY_MIN_PAIRS terms, and keys or lanes wider than
-# _INT64_BITS, take the Python loop, whose ints have no width limit.
+# in one FieldSpec.sum_duplicates, each key carrying its exterior word's
+# bit mask above the packed monomial; is_invariant compares those sorted
+# arrays directly.  Inputs below _NUMPY_MIN_PAIRS terms, and keys wider
+# than _INT64_BITS, take the Python loop, whose ints have no width limit.
+# Both routes add coefficients as _mul_terms does.
 
 
 def _compositions(total, parts):
@@ -616,20 +558,7 @@ def _row_plan(field, rows, width):
     return width, shift, scaled, long
 
 
-def _substitution_lane(field, plan, count, top):
-    """Lane width for the image of `count` terms of total degree at most
-    `top`."""
-    # a key collects one sum per input term; a convolution of two row
-    # powers collects at most as many products as there are monomials of
-    # the top degree
-    _, shift, _, long = plan
-    bound = count
-    if len(long) > 1:
-        bound = max(bound, comb(top + len(shift) - 1, len(shift) - 1))
-    return max(_LANE_BITS, (bound * (field.p - 1)).bit_length())
-
-
-def _long_image(field, lane, long, exp, powers):
+def _long_image(field, long, exp, powers):
     """Product of the powers exp[i] of the rows (i, entries) in `long`, as
     a list of (packed key, raw) with distinct keys; None when all those
     exponents are 0.  `powers` caches the row powers by (i, exp[i])."""
@@ -640,39 +569,37 @@ def _long_image(field, lane, long, exp, powers):
             pw = powers.get((i, e))
             if pw is None:
                 pw = powers[i, e] = _row_power(field, entries, e)
-            image = pw if image is None else _convolve(field, lane, image, pw)
+            image = pw if image is None else _convolve(field, image, pw)
     return image
 
 
-def _substitute_python(field, plan, lane, terms, powers):
-    """Image of a term dict as a dict from packed keys to lane-packed
-    coefficient sums, by one loop over the terms."""
+def _substitute_python(field, plan, terms, powers):
+    """Image of a term dict as a dict from packed keys to F_q sums, zeros
+    included, by one loop over the terms."""
     _, shift, scaled, long = plan
     q = field.q
-    table = _lane_table(field, lane)
-    spread = table[q:2 * q]                   # lanes of raw v at v*q + 1
-    prod, fpow = field.mul_table, field.pow_
+    prod, add, fpow = field.mul_table, field.add_table, field.pow_
     out = {}
     get = out.get
     for exp, c in terms.items():
         key = sum(map(mul, exp, shift))
         for i, ci in scaled:
             c = prod[c * q + fpow(ci, exp[i])]
-        image = _long_image(field, lane, long, exp, powers) if long else None
+        image = _long_image(field, long, exp, powers) if long else None
         if image is None:
-            out[key] = get(key, 0) + spread[c]
+            out[key] = add[get(key, 0) * q + c]
             continue
         row = c * q
         for k, ck in image:
             k += key
-            out[k] = get(k, 0) + table[row + ck]
+            out[k] = add[get(k, 0) * q + prod[row + ck]]
     return out
 
 
-def _substitute_pieces(field, plan, lane, exps, raws, powers):
-    """Outer sums of packed keys and lane-packed coefficients whose
-    _combine is the image of the terms with exponent rows `exps` and
-    raws `raws`, less than 2 * _CHUNK_PAIRS pairs at a time."""
+def _substitute_pieces(field, plan, exps, raws, powers):
+    """Outer sums of packed keys and coefficient products whose
+    FieldSpec.sum_duplicates is the image of the terms with exponent rows
+    `exps` and raws `raws`, less than 2 * _CHUNK_PAIRS pairs at a time."""
     width, shift, scaled, long = plan
     q = field.q
     keys = exps @ np.array(shift, dtype=np.int64)
@@ -683,7 +610,7 @@ def _substitute_pieces(field, plan, lane, exps, raws, powers):
         logs = log_t[[c for _, c in scaled]]
         raws = field.exp_array[
             (log_t[raws] + (exps[:, cols] % (q - 1)) @ logs) % (q - 1)]
-    table = _lane_array(field, lane)
+    table = field.product_array
     # group the terms by their exponents on the long rows, packed in one
     # int64 like a monomial
     weights = np.array([1 << (k * width) for k in range(len(long))],
@@ -696,7 +623,7 @@ def _substitute_pieces(field, plan, lane, exps, raws, powers):
     batch_k, batch_v, size = [], [], 0
     for lo, hi in zip(starts.tolist(), starts[1:].tolist() + [len(order)]):
         members = order[lo:hi]
-        image = _long_image(field, lane, long, exps[members[0]].tolist(), powers)
+        image = _long_image(field, long, exps[members[0]].tolist(), powers)
         if image is None:
             image = [(0, field.one)]
         elif not image:
@@ -707,29 +634,13 @@ def _substitute_pieces(field, plan, lane, exps, raws, powers):
         for i in range(0, len(members), step):
             m = members[i:i + step]
             batch_k.append((keys[m, None] + image_keys).ravel())
-            batch_v.append(table[raws[m, None] * q + image_raws].ravel())
+            batch_v.append(table[raws[m, None], image_raws].ravel())
             size += len(batch_k[-1])
             if size >= _CHUNK_PAIRS:
                 yield np.concatenate(batch_k), np.concatenate(batch_v)
                 batch_k, batch_v, size = [], [], 0
     if batch_k:
         yield np.concatenate(batch_k), np.concatenate(batch_v)
-
-
-def _substitute_arrays(field, plan, terms, top, exps, raws, powers):
-    """Image of a term dict as int64 arrays of distinct packed keys and
-    nonzero raws; exps and raws are the terms as arrays.  Lanes wider than
-    _INT64_BITS take the Python loop."""
-    lane = _substitution_lane(field, plan, len(terms), top)
-    if field.e * lane <= _INT64_BITS:
-        return _live(field, lane, *_accumulate(
-            _substitute_pieces(field, plan, lane, exps, raws, powers)))
-    out = _substitute_python(field, plan, lane, terms, powers)
-    _reduce_lanes(field, lane, out)
-    keys = np.fromiter(out, np.int64, len(out))
-    raws = np.fromiter(out.values(), np.int64, len(out))
-    live = raws != 0
-    return keys[live], raws[live]
 
 
 def _substitute_terms(field, rows, terms):
@@ -744,20 +655,16 @@ def _substitute_terms(field, rows, terms):
     shifts, masks = [j * width for j in range(n)], [(1 << width) - 1] * n
     if len(terms) >= _NUMPY_MIN_PAIRS and n * width <= _INT64_BITS:
         raws = np.fromiter(terms.values(), np.int64, len(terms))
-        keys, raws = _substitute_arrays(field, plan, terms, top,
-                                        _exp_array(terms), raws, {})
+        keys, raws = _accumulate(field, _substitute_pieces(
+            field, plan, _exp_array(terms), raws, {}))
         return _unpack_arrays(keys, raws, shifts, masks)
-    lane = _substitution_lane(field, plan, len(terms), top)
-    out = _substitute_python(field, plan, lane, terms, {})
-    return _unpack(field, lane, out, shifts, masks)
+    return _unpack(_substitute_python(field, plan, terms, {}), shifts, masks)
 
 
-def _convolve(field, lane, a, b):
+def _convolve(field, a, b):
     """Product of two (packed key, raw) lists as a list with distinct
     keys and no zero raws."""
-    out = _lane_sums(field, lane, a, b)
-    _reduce_lanes(field, lane, out)
-    return [(k, raw) for k, raw in out.items() if raw]
+    return [(k, raw) for k, raw in _pair_sums(field, a, b).items() if raw]
 
 
 def exact_divide(f: Polynomial, g: Polynomial):
@@ -978,9 +885,15 @@ class TensorElement:
         """Relabel both x_i and dx_i by the index mapping, which must be
         injective on the exterior indices in use.  Reordering a word to
         ascending form pays the usual sign."""
+        new_n, *targets = _ints((new_n, *mapping.values()), "variable map")
+        mapping = dict(zip(mapping, targets))
         out = {}
         for ext, poly in self.parts.items():
-            images = [mapping[j] for j in ext]
+            images = [mapping.get(j) for j in ext]
+            if any(j is None or not 1 <= j <= new_n for j in images):
+                raise IndexOutOfRange(
+                    f"exterior word {ext} has an index with no target in "
+                    f"1..{new_n}")
             if len(set(images)) != len(images):
                 raise BadIndexTuple("mapping must be injective on exterior indices")
             sign = _sort_sign(images)
@@ -1124,27 +1037,20 @@ def _check_action(g, u):
 # of its exterior word (bit j - 1 for dx_j) in the n bits above it.
 
 def _tensor_parts(u):
-    """(width, parts) for the numpy route, each part as (word, term dict,
-    top degree, exponent array, raw array); None when u is zero, is below
-    _NUMPY_MIN_PAIRS terms or its keys or lanes do not fit one int64."""
+    """(width, parts) for the numpy route, each part as (word, exponent
+    array, raw array); None when u is zero, is below _NUMPY_MIN_PAIRS
+    terms or its keys do not fit one int64."""
     count = sum(len(poly.terms) for poly in u.parts.values())
     if not count or count < _NUMPY_MIN_PAIRS:
         return None
-    tops = [max(map(sum, poly.terms)) for poly in u.parts.values()]
-    width = max(tops).bit_length()
-    lane = _parts_lane(u.field, len(tops))
-    if max(u.n * (width + 1), u.field.e * lane) > _INT64_BITS:
+    width = max(max(map(sum, poly.terms))
+                for poly in u.parts.values()).bit_length()
+    if u.n * (width + 1) > _INT64_BITS:
         return None
     return width, [
-        (word, poly.terms, top, _exp_array(poly.terms),
+        (word, _exp_array(poly.terms),
          np.fromiter(poly.terms.values(), np.int64, len(poly.terms)))
-        for (word, poly), top in zip(u.parts.items(), tops)]
-
-
-def _parts_lane(field, count):
-    """Lane width for the images of `count` parts: a key of the image
-    collects one raw from each part."""
-    return max(_LANE_BITS, (count * (field.p - 1)).bit_length())
+        for word, poly in u.parts.items()]
 
 
 def _word_key(word, n, width):
@@ -1156,7 +1062,7 @@ def _pack_parts(n, width, parts):
     """Sorted keys and their raws of the parts of _tensor_parts."""
     weights = np.array([1 << (j * width) for j in range(n)], dtype=np.int64)
     keys = np.concatenate([exps @ weights + _word_key(word, n, width)
-                           for word, _, _, exps, _ in parts])
+                           for word, exps, _ in parts])
     order = np.argsort(keys)
     return keys[order], np.concatenate([raws for *_, raws in parts])[order]
 
@@ -1166,20 +1072,18 @@ def _act_arrays(field, rows, n, width, parts):
     the image of the parts of _tensor_parts under dx -> rows dx and
     x -> rows x."""
     plan = _row_plan(field, rows, width)
-    lane = _parts_lane(field, len(parts))
-    table, q, powers = _lane_array(field, lane), field.q, {}
-    all_keys, all_vals = [], []
-    for word, terms, top, exps, raws in parts:
+    powers, all_keys, all_raws = {}, [], []
+    for word, exps, raws in parts:
         words = _exterior_image(field, rows, word)
         if not words:
             continue
-        keys, coeffs = _substitute_arrays(field, plan, terms, top, exps, raws,
-                                          powers)
+        keys, coeffs = _accumulate(field, _substitute_pieces(
+            field, plan, exps, raws, powers))
         for image_word, s in words.items():
             all_keys.append(keys + _word_key(image_word, n, width))
-            all_vals.append(table[coeffs * q + s])
-    return _live(field, lane, *_combine(np.concatenate(all_keys),
-                                        np.concatenate(all_vals)))
+            all_raws.append(field.product_array[coeffs, s])
+    return field.sum_duplicates(np.concatenate(all_keys),
+                                np.concatenate(all_raws))
 
 
 def _tensor_of_arrays(field, n, width, keys, raws):

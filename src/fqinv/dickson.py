@@ -15,9 +15,10 @@ the top exterior class dx_1...dx_n:
     classes, used to cross-check the operator route sign by sign.
 
 The brute "product" routes (f_poly, o_poly, o_prev) multiply their linear
-factors coset by coset: q at a time (a line), then q of those (a plane), and
-so on.  A coset product P_W(x) - P_W(v) stays sparse where one running
-product goes dense; no additivity is used, so it stays an independent oracle.
+factors coset by coset: q at a time (a line), then q of those (a
+2-dimensional subspace), and so on.  A coset product P_W(x) - P_W(v) stays
+sparse where one running product goes dense; no additivity is used, so it
+stays an independent oracle.
 """
 
 from __future__ import annotations
@@ -42,13 +43,14 @@ _PRODUCT_CAP = 243
 
 def top_form(field: FieldSpec, n: int) -> TensorElement:
     """dx_1 ^ ... ^ dx_n."""
+    (n,) = _ints((n,), "n")
     return TensorElement.dx(field, n, range(1, n + 1))
 
 
 def index_subsets(n: int, max_size=None):
     """Subsets of {0..n-1} ordered by (size, lex); max_size trims large ones."""
-    if max_size is None:
-        max_size = n
+    n, max_size = _ints((n, n if max_size is None else max_size),
+                        "n and max_size")
     out = []
     for r in range(max_size + 1):
         out.extend(combinations(range(n), r))
@@ -98,6 +100,7 @@ def f_poly(field: FieldSpec, n: int, method: str = "recursive") -> Polynomial:
     brute product multiplies the q^n factors coset by coset; it is kept
     as an independent oracle and refuses to run past q^n = 243 factors.
     """
+    (n,) = _ints((n,), "n")
     if n < 1:
         raise ArityTooSmall("need n >= 1")
     q = field.q
@@ -125,6 +128,7 @@ def f_poly(field: FieldSpec, n: int, method: str = "recursive") -> Polynomial:
 def delta_poly(field: FieldSpec, n: int) -> Polynomial:
     """(-1)^n Q_0...Q_n (dx_1...dx_n dX) in n + 1 variables; this equals
     dickson_e(n) * f_poly(n)."""
+    (n,) = _ints((n,), "n")
     if n < 1:
         raise ArityTooSmall("need n >= 1")
     N = n + 1
@@ -140,6 +144,7 @@ def o_poly(field: FieldSpec, n: int, i: int, method: str = "product") -> Polynom
     The product route multiplies the q^{n-1} factors coset by coset;
     dickson_sum evaluates the additive expansion with Dickson weights.
     """
+    n, i = _ints((n, i), "n and variable index")
     if not 1 <= i <= n:
         raise IndexOutOfRange(f"variable index {i} not in 1..{n}")
     q = field.q
@@ -165,6 +170,7 @@ def o_poly(field: FieldSpec, n: int, i: int, method: str = "product") -> Polynom
 def o_prev(field: FieldSpec, n: int, i: int) -> Polynomial:
     """Orbit product of x_i over the span of x_2..x_{n-1} only, still in
     n variables; for n = 2 the span is zero and this is x_i."""
+    n, i = _ints((n, i), "n and variable index")
     if not 1 <= i <= n:
         raise IndexOutOfRange(f"variable index {i} not in 1..{n}")
     q = field.q
@@ -175,9 +181,8 @@ def o_prev(field: FieldSpec, n: int, i: int) -> Polynomial:
 
 def mui_det(field: FieldSpec, i_list, k: int = None) -> Polynomial:
     """det of the k x k matrix with (l, j) entry x_j^(q^(i_l)), in k vars."""
-    i_list = tuple(int(i) for i in i_list)
-    if k is None:
-        k = len(i_list)
+    i_list = _ints(i_list, "row exponents")
+    (k,) = _ints((len(i_list) if k is None else k,), "k")
     if k != len(i_list):
         raise DegreeMismatch("k must equal the number of row exponents")
     if any(i < 0 for i in i_list):
@@ -201,7 +206,8 @@ def _det_on_columns(field, n, i_list, cols) -> Polynomial:
 def mui_bracket(field: FieldSpec, r: int, i_list, n: int) -> TensorElement:
     """Shuffle sum of dx_{j_1}...dx_{j_r} times the determinant class on
     the complementary variables, signed by the shuffle parity."""
-    i_list = tuple(int(i) for i in i_list)
+    i_list = _ints(i_list, "row exponents")
+    r, n = _ints((r, n), "exterior degree and n")
     if not 0 <= r <= n:
         raise IndexOutOfRange(f"exterior degree {r} not in 0..{n}")
     if len(i_list) != n - r:
@@ -234,6 +240,7 @@ def theorem_basis(field: FieldSpec, case: str, n: int):
     """
     if case not in ("sl", "gl"):
         raise UnknownCase(f"case must be 'sl' or 'gl', got {case!r}")
+    (n,) = _ints((n,), "n")
     out = [TensorElement.one(field, n)]
     extra = None
     if case == "gl":

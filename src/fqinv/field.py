@@ -15,9 +15,12 @@ product tables, and the exponent and logarithm tables of the least raw of
 order q - 1, which give inverses and powers.  So every raw operation
 is one table lookup, for prime and extension fields alike, and no other
 module builds a field table: they read these, which are tuples or
-read-only arrays.  All hot loops in the library work on raw ints through
-the FieldSpec methods; FieldElement is a thin operator-overloading
-wrapper for convenience and for the public API.
+read-only arrays.  Arrays of F_q values add up through the same digit
+rows: FieldSpec.sum_duplicates sums the raws of equal int64 keys digit by
+digit, mod p, and is the one bulk F_q sum that the polynomial kernels
+(algebra) and the solver (fixedpoint) share.  All hot loops in the library
+work on raw ints through the FieldSpec methods; FieldElement is a thin
+operator-overloading wrapper for convenience and for the public API.
 
 Keeping e <= 3 means irreducibility of the modulus is equivalent to
 having no root in F_p, which make_field checks exhaustively.
@@ -99,7 +102,7 @@ class FieldSpec:
     """Field description plus raw-int arithmetic.  Immutable once built."""
 
     __slots__ = ("p", "e", "q", "modulus", "digit_table", "product_array",
-                 "mul_table", "exp_array", "log_array", "_add", "_neg",
+                 "mul_table", "add_table", "exp_array", "log_array", "_neg",
                  "_exp", "_log", "_coeffs")
 
     def __init__(self, p: int, e: int, modulus):
@@ -134,12 +137,28 @@ class FieldSpec:
         self.exp_array = exp
         self.log_array = log
         self.mul_table = tuple(products.ravel().tolist())
-        self._add = tuple(((digits[:, None] + digits) % p @ place).ravel()
-                          .tolist())
+        self.add_table = tuple(((digits[:, None] + digits) % p @ place)
+                               .ravel().tolist())
         self._neg = tuple((-digits % p @ place).tolist())
         self._exp = tuple(exp.tolist())
         self._log = tuple(log.tolist())
         self._coeffs = tuple(map(tuple, digits.tolist()))
+
+    def sum_duplicates(self, keys, raws):
+        """Distinct int64 keys, ascending, and the F_q sums of their raws,
+        zero sums dropped.  F_q addition is base-p digit addition mod p, so
+        the digit rows of every key add up with one reduceat."""
+        if not len(keys):
+            return keys, raws
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        starts = np.flatnonzero(
+            np.concatenate(([True], keys[1:] != keys[:-1])))
+        digits = self.digit_table[raws[order], 0]
+        sums = np.add.reduceat(digits, starts) % self.p @ self.p ** np.arange(
+            self.e)
+        live = sums != 0
+        return keys[starts][live], sums[live]
 
     def _raw_of(self, coeffs) -> int:
         raw = 0
@@ -163,13 +182,13 @@ class FieldSpec:
         return self._exp[1]
 
     def add(self, a: int, b: int) -> int:
-        return self._add[a * self.q + b]
+        return self.add_table[a * self.q + b]
 
     def neg(self, a: int) -> int:
         return self._neg[a]
 
     def sub(self, a: int, b: int) -> int:
-        return self._add[a * self.q + self._neg[b]]
+        return self.add_table[a * self.q + self._neg[b]]
 
     def mul(self, a: int, b: int) -> int:
         return self.mul_table[a * self.q + b]

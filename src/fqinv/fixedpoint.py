@@ -41,7 +41,7 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import Polynomial, TensorElement, _compositions
+from .algebra import Polynomial, TensorElement, _compositions, _ints
 from .dickson import dickson_c, dickson_e, index_subsets, o_poly, theorem_basis
 from .errors import (
     ArityTooSmall,
@@ -80,6 +80,7 @@ def monomial_basis(field: FieldSpec, n: int, d: int):
     """Ordered basis of the degree-d component: (exponent tuple, dx index
     tuple) pairs with 2*sum(exp) + len(ext) = d, sorted by exterior length,
     then exterior indices, then exponents (descending lexicographic)."""
+    n, d = _ints((n, d), "n and degree")
     if d < 0:
         raise NegativeDegree("need d >= 0")
     out = []
@@ -300,20 +301,6 @@ def _word_steps(n, r):
     return _readonly(up, odd)
 
 
-def _sum_duplicates(field, keys, raws):
-    """Distinct keys, ascending, and the F_q sums of their raws, zero sums
-    dropped; F_q addition is base-p digit addition mod p."""
-    if not len(keys):
-        return keys, raws
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    starts = np.flatnonzero(np.diff(keys, prepend=-1))
-    digits = field.digit_table[raws[order], 0]
-    sums = np.add.reduceat(digits, starts) % field.p @ field.p ** np.arange(
-        field.e)
-    return keys[starts][sums != 0], sums[sums != 0]
-
-
 @lru_cache(maxsize=_CACHED_ACTIONS)
 def _levels(field, rows, exterior):
     """The levels of one generator's action built so far, level 0 first;
@@ -353,8 +340,8 @@ def _level(field, rows, k, exterior):
             prod = mul[c[keep], v[keep]]
             keys.append(col[keep] * size + to[keep])
             raws.append(np.where(odd[j, b[keep]], mul[field.p - 1, prod], prod))
-        key, raw = _sum_duplicates(field, np.concatenate(keys),
-                                   np.concatenate(raws))
+        key, raw = field.sum_duplicates(np.concatenate(keys),
+                                        np.concatenate(raws))
         levels.append(_readonly(key % size, key // size, raw))
     return levels[k]
 
@@ -391,8 +378,8 @@ def _moved(field, g, k, r, k0):
     raws = np.concatenate((raws, np.full(len(diag), field.p - 1)))  # -1
     keep = column[cols] >= 0
     rows, cols, raws = rows[keep], cols[keep], raws[keep]
-    key, raws = _sum_duplicates(field, rows * width + column[cols],
-                                field.product_array[raws, value[cols]])
+    key, raws = field.sum_duplicates(rows * width + column[cols],
+                                     field.product_array[raws, value[cols]])
     return key // width, key % width, raws
 
 
@@ -491,6 +478,9 @@ def fixed_dim(group, d: int, exterior_degree=None) -> int:
     """Dimension of the degree-d fixed subspace; optionally one exterior
     word length only."""
     field, n, gens = _resolve_group(group)
+    (d,) = _ints((d,), "degree")
+    if exterior_degree is not None:
+        (exterior_degree,) = _ints((exterior_degree,), "exterior degree")
     if d < 0:
         raise NegativeDegree("need d >= 0")
     _check_cap(n, d)
@@ -510,6 +500,7 @@ def fixed_basis(group, d: int):
     monomial_basis order; every element is checked against the generators
     before it is returned."""
     field, n, gens = _resolve_group(group)
+    (d,) = _ints((d,), "degree")
     if d < 0:
         raise NegativeDegree("need d >= 0")
     _check_cap(n, d)
@@ -582,6 +573,7 @@ class FreeModuleDescription:
 
 def hilbert_coeff(desc: FreeModuleDescription, d: int) -> int:
     """Coefficient of t^d in (sum of t^basis) / prod(1 - t^generator)."""
+    (d,) = _ints((d,), "degree")
     if d < 0:
         raise NegativeDegree("need d >= 0")
     ring = [0] * (d + 1)
@@ -1011,6 +1003,9 @@ def verify_module(case, d_max=None) -> VerificationReport:
     if d_max > cap:
         raise FeasibilityCapExceeded(
             f"case {c.label}: d_max {d_max} exceeds the schedule cap {cap}")
+    # the witness refuses more than 243 orbit factors; it runs first, so
+    # that refusal comes before the solver and the element builds
+    wilkerson = wilkerson_check(c)
     group = case_group(c)
     desc = module_description(c)
     rows = tuple(DegreeRow(d, fixed_dim(group, d), hilbert_coeff(desc, d))
@@ -1018,4 +1013,4 @@ def verify_module(case, d_max=None) -> VerificationReport:
     ring, basis = case_elements(c)
     invariance = tuple((name, is_invariant(el, group))
                        for name, el in ring + basis)
-    return VerificationReport(c.label, rows, invariance, wilkerson_check(c))
+    return VerificationReport(c.label, rows, invariance, wilkerson)

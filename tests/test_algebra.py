@@ -23,6 +23,7 @@ from fqinv.errors import (
     BadIndexTuple,
     FieldMismatch,
     FqinvError,
+    IndexOutOfRange,
     NegativeDegree,
     NotAFieldValue,
     NotAnInteger,
@@ -280,6 +281,28 @@ def test_integer_arguments_reject_floats(call, numpy_ints, want, floats):
     for args in floats:
         with pytest.raises(NotAnInteger):
             call(f, *args)
+
+
+def test_tensor_map_variables_reads_integers_on_a_zero_element():
+    # a zero element has no word to check, but its size and targets are
+    # still read as integers
+    zero = TensorElement.zero(F3, 2)
+    moved = zero.map_variables(np.int64(3), {1: np.int64(2)})
+    assert moved.is_zero() and moved.n == 3 and type(moved.n) is int
+    with pytest.raises(NotAnInteger):
+        zero.map_variables(2.0, {1: 1.5})
+
+
+def test_tensor_map_variables_needs_a_target_for_every_exterior_index():
+    with pytest.raises(IndexOutOfRange):
+        dx(F3, 2, 1).map_variables(2, {})
+
+
+def test_tensor_map_variables_keeps_exterior_targets_in_range():
+    assert dx(F3, 2, 1).map_variables(2, {1: 2}) == dx(F3, 2, 2)
+    for target in (7, 0, -1):
+        with pytest.raises(IndexOutOfRange):
+            dx(F3, 2, 1).map_variables(2, {1: target})
 
 
 def test_action_composition_and_identity(rng):

@@ -120,6 +120,31 @@ def test_derivation_images_read_operator_indices_as_integers():
             mui_q(F3, I, 2)
 
 
+@pytest.mark.parametrize("call, ints, plain, floats", [
+    # a truncated 1.7 or 0.9 would give the class of 1 or 0
+    (mui_det, (F3, (np.int64(1), 0)), (F3, (1, 0)),
+     [(F3, (1.7,)), (F3, (1, 0), 2.0)]),
+    (mui_bracket, (F3, np.int64(1), (np.int64(0),), np.int64(2)),
+     (F3, 1, (0,), 2), [(F3, 1, (0.9,), 2), (F3, 1.0, (0,), 2),
+                        (F3, 1, (0,), 2.0)]),
+    (f_poly, (F3, np.int64(2)), (F3, 2), [(F3, 2.0), (F3, 1.5, "product")]),
+    (o_poly, (F3, np.int64(3), np.int64(1)), (F3, 3, 1),
+     [(F3, 3.0, 1), (F3, 3, 1.0, "dickson_sum")]),
+    (o_prev, (F3, np.int64(3), np.int64(1)), (F3, 3, 1),
+     [(F3, 3.0, 1), (F3, 3, 1.5)]),
+    (delta_poly, (F3, np.int64(2)), (F3, 2), [(F3, 2.0)]),
+    (top_form, (F3, np.int64(2)), (F3, 2), [(F3, 2.0)]),
+    (theorem_basis, (F3, "gl", np.int64(2)), (F3, "gl", 2),
+     [(F3, "sl", 2.0)]),
+    (index_subsets, (np.int64(3), np.int64(2)), (3, 2), [(3.0,), (3, 1.5)]),
+], ids=lambda v: getattr(v, "__name__", ""))
+def test_sizes_and_exponents_read_integers(call, ints, plain, floats):
+    assert call(*ints) == call(*plain)
+    for args in floats:
+        with pytest.raises(NotAnInteger):
+            call(*args)
+
+
 def test_top_class_is_product_of_lines():
     # e_2 over F_3 carries one linear factor per line through the origin
     e2 = dickson_e(F3, 2)

@@ -47,6 +47,8 @@ from fqinv.errors import (
     FeasibilityCapExceeded,
     InvalidModuleDescription,
     NegativeDegree,
+    NotAnInteger,
+    ProductTooLarge,
     SingularMatrix,
     UnknownCase,
 )
@@ -83,11 +85,27 @@ def test_monomial_basis_counts_and_grading():
                 assert 2 * sum(exp) + len(ext) == d
 
 
+def test_monomial_basis_reads_size_and_degree_as_integers():
+    assert monomial_basis(F3, np.int64(2), np.int64(3)) == \
+        monomial_basis(F3, 2, 3)
+    for n, d in ((2.0, 3), (2, 3.0), (2, 1.5)):
+        with pytest.raises(NotAnInteger):
+            monomial_basis(F3, n, d)
+
+
 # -- module series -----------------------------------------------------------
 
 def test_series_of_trivial_module():
     desc = FreeModuleDescription((), (0,))
     assert [hilbert_coeff(desc, d) for d in range(4)] == [1, 0, 0, 0]
+
+
+def test_series_reads_the_degree_as_an_integer():
+    desc = FreeModuleDescription((4, 6), (0, 3))
+    assert hilbert_coeff(desc, np.int64(9)) == hilbert_coeff(desc, 9) == 1
+    for d in (9.0, 8.5):
+        with pytest.raises(NotAnInteger):
+            hilbert_coeff(desc, d)
 
 
 def test_series_against_power_series_oracle():
@@ -684,6 +702,24 @@ def test_fixed_dim_exterior_filter():
     assert total == split
 
 
+def test_fixed_dim_reads_degrees_as_integers():
+    sl2 = gens_standard("sl", 2, F3)
+    assert fixed_dim(sl2, np.int64(10), np.int64(2)) == \
+        fixed_dim(sl2, 10, exterior_degree=2)
+    # a float exterior degree would match no block and count 0
+    for d, r in ((10.0, None), (10, 2.0), (9.5, None), (10, 1.5)):
+        with pytest.raises(NotAnInteger):
+            fixed_dim(sl2, d, r)
+
+
+def test_fixed_basis_reads_the_degree_as_an_integer():
+    sl2 = gens_standard("sl", 2, F3)
+    assert fixed_basis(sl2, np.int64(8)) == fixed_basis(sl2, 8)
+    for d in (8.0, 7.5):
+        with pytest.raises(NotAnInteger):
+            fixed_basis(sl2, d)
+
+
 def test_fixed_basis_contents():
     sl2 = gens_standard("sl", 2, F3)
     vecs = fixed_basis(sl2, 2)
@@ -1016,6 +1052,18 @@ def test_verify_module_rejects_degrees_past_cap():
         verify_module("sl(2,3)", 100)
     with pytest.raises(NegativeDegree):
         verify_module("sl(2,3)", -1)
+
+
+def test_verify_module_refuses_an_infeasible_witness_first(monkeypatch):
+    # parabolic(7,3)'s witness would multiply out 3^6 = 729 orbit factors;
+    # it refuses before any fixed dimension or element is built
+    calls = []
+    for name in ("fixed_dim", "case_elements"):
+        monkeypatch.setattr(fixedpoint, name,
+                            lambda *args, _name=name: calls.append(_name))
+    with pytest.raises(ProductTooLarge):
+        verify_module("parabolic(7,3)", 0)
+    assert calls == []
 
 
 def test_verify_module_reports_product_check_of_widest_case():

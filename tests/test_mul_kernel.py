@@ -132,13 +132,12 @@ def test_exponents_too_wide_for_int64_keys(field):
 
 
 @pytest.mark.parametrize("field", ALL_FIELDS, ids=repr)
-def test_coordinate_lanes_at_their_extreme(field, monkeypatch):
+def test_coordinate_lanes_at_their_extreme(field):
     # 125 terms of coefficient q-1 against 125 of coefficient 1: every
     # product has all its coordinates p-1, and 125 of them land on the
-    # middle key (which p = 5 then cancels).  With the lane floor removed
-    # each lane is only as wide as that sum needs.
+    # middle key (which p = 5 then cancels), so every route adds many
+    # products of the largest digits into one key.
     a = {(i, 124 - i): field.q - 1 for i in range(125)}
     b = {exp: 1 for exp in a}
-    monkeypatch.setattr(algebra, "_LANE_BITS", 1)
     got = check(field, 2, a, b)
     assert got.get((124, 124), 0) == field.mul(125 % field.p, field.q - 1)

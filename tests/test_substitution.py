@@ -1,9 +1,10 @@
 """The packed-key linear substitution against the tuple-keyed expansion it
 replaced, kept here as the oracle, and the group action built on it.  Each
 randomized test runs through every route of the kernel: the Python loop,
-and numpy, with full and with tiny chunks, for every input whose keys and
-lanes fit one int64."""
+and numpy, with full and with tiny chunks, for every input whose keys fit
+one int64."""
 
+import random
 from contextlib import contextmanager
 from math import comb
 
@@ -22,7 +23,7 @@ from fqinv import (
     tensor_act,
 )
 
-from conftest import ALL_FIELDS, F3, F9, F125
+from conftest import ALL_FIELDS, F3, F9, F27, F125
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True,
                     database=None,
@@ -360,9 +361,8 @@ def test_exponents_past_one_machine_word(field):
 
 
 def test_lanes_wider_than_int64():
-    # two rows with two entries each size the lanes for a convolution of
-    # row powers of degree up to 5^13; over F125 three such lanes take
-    # more than 64 bits, which only Python ints hold
+    # two rows with two entries each convolve row powers of degree up to
+    # 5^13 over F125; the keys of the image still fit 31 bits a variable
     e, t = 5 ** 13, F125.p                      # t is the generator
     rows = [[t, 1], [1, t]]
     got = Polynomial._make(F125, 2, {(e, 0): 1, (0, 1): 2}).substitute_linear(rows)
@@ -370,10 +370,26 @@ def test_lanes_wider_than_int64():
                          (1, 0): 2, (0, 1): F125.mul(2, t)}
 
 
+def test_many_products_per_key_take_numpy(routes):
+    # 300 terms of degree 150 in 4 variables over F27, under two rows with
+    # two entries each: a key of the image can collect a product from
+    # every monomial of degree 150, and numpy adds them all as digit sums
+    rng = random.Random(20261019)
+    t = F27.p                                   # the generator
+    rows = [[1, t, 0, 0], [0, 1, 0, t], [0, 0, 1, 0], [0, 0, 0, 2]]
+    terms = {}
+    while len(terms) < 300:
+        a, b, c = sorted(rng.randint(0, 150) for _ in range(3))
+        terms[a, b - a, c - b, 150 - c] = rng.randrange(1, F27.q)
+    check(F27, 4, rows, terms)
+    assert routes == ["numpy"]
+
+
 def test_routing_boundaries(routes):
     # keys exactly _INT64_BITS wide go to numpy and one bit wider to the
-    # Python loop; the inputs of the two tests above stay on the Python
-    # loop even when every size goes to numpy
+    # Python loop; only the key width decides, so even when every size
+    # goes to numpy, exponents past one machine word stay on the Python
+    # loop while the F125 row powers of degree 5^13 take numpy
     size, bits = algebra._NUMPY_MIN_PAIRS, algebra._INT64_BITS
     scale = [[2]]                               # x1 -> 2 x1, dx1 -> 2 dx1
     for width, route in ((bits, "numpy"), (bits + 1, "python")):
@@ -392,5 +408,8 @@ def test_routing_boundaries(routes):
     routes.clear()
     with forced("numpy"):
         test_exponents_past_one_machine_word(F3)
-        test_lanes_wider_than_int64()
     assert routes and set(routes) == {"python"}
+    routes.clear()
+    with forced("numpy"):
+        test_lanes_wider_than_int64()
+    assert routes == ["numpy"]
