@@ -9,17 +9,18 @@ multiple of one variable) permute the block's monomials up to scalars, so
 their common fixed vectors are the orbit sums whose scalars agree, one
 column per such orbit (the permutation-module basis of Derksen & Kemper,
 Computational Invariant Theory, section 3).  The other generators cut
-that kernel down one at a time, with the kernel kept factored as the
-orbit kernel times a small matrix.  Each cut is a kernel over F_p taken
-from sparse entries: rows with a single live entry are peeled first,
-since their columns vanish on the kernel (structured Gaussian
-elimination, LaMacchia & Odlyzko, CRYPTO '90), and only what is left is
-made dense and eliminated exactly.  Each generator's action on a block
-is one sparse matrix, the Kronecker product of its actions on the
-exterior words and on the monomials; the action on the degree-k
-monomials is built from that on degree k-1 in one vectorised step and
-cached per generator.  Every elimination runs over F_p on the
-base-p digits of F_q-vectors.
+that kernel down together: their operators times the orbit kernel are
+stacked into one sparse matrix, whose kernel over F_p, times the orbit
+kernel, is the fixed space.  Rows with a single live entry are peeled
+first, since their columns vanish on the kernel (structured Gaussian
+elimination, LaMacchia & Odlyzko, CRYPTO '90), and a column one
+generator forces to zero can leave such rows in another's; only what is
+left is made dense and eliminated exactly, once per block.  Each
+generator's action on a block is one sparse matrix, the Kronecker
+product of its actions on the exterior words and on the monomials; the
+action on the degree-k monomials is built from that on degree k-1 in one
+vectorised step and cached per generator.  Every elimination runs over
+F_p on the base-p digits of F_q-vectors.
 
 The case table has one row per case kind.  A row ties the kind's group
 presentation to the free-module shape of its invariant ring (polynomial
@@ -55,6 +56,7 @@ from .field import FieldSpec, make_field
 from .groups import (
     GroupPresentation,
     _affine,
+    _common_shape,
     _linear,
     _sl_small,
     _translations,
@@ -98,9 +100,6 @@ def monomial_basis(field: FieldSpec, n: int, d: int):
 # j*e + k, and an F_q-subspace is the F_p-span of the digits of t^i * v,
 # i < e, for v in it: the restriction of scalars that group_order_bfs takes
 # too.  So an F_p-dimension is e times the F_q-dimension.
-
-_MATMUL_ROWS = 1024
-
 
 def _eliminate(a, p):
     """Reduced row echelon form of the int64 array a over F_p, computed in
@@ -158,20 +157,6 @@ def _kernel(rows, cols, vals, width, p):
     return out
 
 
-def _matmul_mod(x, y, p):
-    """Exact x @ y over F_p by float64 BLAS, on the nonzero rows of x
-    only, _MATMUL_ROWS of them at a time so that no float copy of all of
-    x is held."""
-    yf = y.astype(np.float64)
-    out = np.zeros((x.shape[0], y.shape[1]), dtype=np.int64)
-    live = np.nonzero(x.any(axis=1))[0]
-    for i in range(0, len(live), _MATMUL_ROWS):
-        rows = live[i:i + _MATMUL_ROWS]
-        prod = np.rint(x[rows].astype(np.float64) @ yf)
-        out[rows] = prod.astype(np.int64) % p
-    return out
-
-
 def _canonical_rows(a, field):
     """Reduced row echelon form over F_q, as raw rows sorted by pivot
     position, of the F_q-stable span of the digit rows of a, which it
@@ -186,30 +171,25 @@ def _canonical_rows(a, field):
 
 # -- per-block solver --------------------------------------------------------
 #
-# A block's fixed vectors are kept factored as K0 M: K0 the orbit kernel of
-# the monomial generators, at most one entry per position, and M over F_p
-# on K0's digit columns.  A general generator g takes M to M N, N the
-# kernel of ((A_g - 1) K0) M with A_g sparse, so BLAS multiplies nothing
-# with more rows than K0 has columns.
+# A block's fixed vectors are K0 M: K0 the orbit kernel of the monomial
+# generators, at most one entry per position, and M over F_p on K0's digit
+# columns, the kernel of the digits of every other generator's sparse
+# (A_g - 1) K0, stacked.  A column that one generator's singleton row
+# forces to zero can leave singleton rows in another's, so the peeling in
+# _kernel cascades across generators before anything is made dense.
 
-_SCATTER = 1 << 18          # output elements one scatter step forms
 _STEP_TABLES = 256          # cached step tables, one per (n, degree)
 _CACHED_ACTIONS = 512       # generator actions on words or monomials kept
 
 
 def _split_generators(gens):
     """The monomial generators, which map every variable to a scalar
-    multiple of a single variable, and the others, sparsest first."""
+    multiple of a single variable, and the others."""
     monomial, general = [], []
-    for pos, g in enumerate(gens):
-        live = [[j for j, v in enumerate(r) if v] for r in g.inverse_rows()]
-        if all(len(js) == 1 for js in live):
-            monomial.append(g)
-        else:
-            nnz_off = sum(j != i for i, js in enumerate(live) for j in js)
-            general.append((nnz_off, pos, g))
-    general.sort(key=lambda item: item[:2])
-    return monomial, [g for _, _, g in general]
+    for g in gens:
+        single = all(sum(map(bool, row)) == 1 for row in g.inverse_rows())
+        (monomial if single else general).append(g)
+    return monomial, general
 
 
 def _orbit_kernel(field, moves):
@@ -396,74 +376,46 @@ def _digits(field, rows, cols, raws):
 def _sparse_product(field, rows, cols, raws, m, width):
     """The F_q entries (rows, cols, raws) in digit form, times the F_p
     array m (None: the identity on `width` columns), on the digit rows
-    that hold an entry; returns those rows and the product.  Entries of
-    one rank within their row hit distinct rows, so a fancy += over them
-    is exact; it forms _SCATTER output elements at a time."""
+    that hold an entry; returns those rows and the product."""
     rows, cols, vals = _digits(field, rows, cols, raws)
-    order = np.argsort(rows, kind="stable")
-    rows, cols, vals = rows[order], cols[order], vals[order]
-    new = np.diff(rows, prepend=-1) != 0
-    slot = np.cumsum(new) - 1
-    out = np.zeros((np.count_nonzero(new),
-                    width if m is None else m.shape[1]), dtype=np.int64)
+    at, slot = np.unique(rows, return_inverse=True)
+    out = np.zeros((len(at), width if m is None else m.shape[1]),
+                   dtype=np.int64)
     if m is None:
         out[slot, cols] = vals
-        return rows[new], out
-    rank = np.arange(len(rows)) - np.flatnonzero(new)[slot]
-    order = np.argsort(rank, kind="stable")
-    cuts = np.sort(np.concatenate((np.cumsum(np.bincount(rank)), np.arange(
-        0, len(rank), _SCATTER // max(1, out.shape[1]) + 1))))
-    for lo, hi in zip(cuts[:-1], cuts[1:]):     # each within one rank
-        pick = order[lo:hi]
-        # at most len(rows) products below p^2 per entry: no overflow
-        out[slot[pick]] += vals[pick, None] * m[cols[pick]]
-    out %= field.p
-    return rows[new], out
+        return at, out
+    # at most len(rows) products below p^2 per sum: no overflow
+    np.add.at(out, slot, vals[:, None] * m[cols])
+    return at, out % field.p
 
 
 def _block_kernel(field, n, gens, k, r):
     """Fixed vectors of the (poly degree, ext length) block, as (K0, M):
     K0 = (column, value, width) the orbit kernel of the monomial
-    generators (the identity if there is none), M the digit columns, over
-    those of K0, left after the other generators cut the kernel down one
-    at a time (None until one has).  The first of them peels the digits
-    of the sparse (A_g - 1) K0; a later one peels the nonzero entries of
-    the product (A_g - 1) K0 M."""
+    generators (the identity if there is none), M the kernel over F_p, on
+    K0's digit columns, of the digits of every other generator's
+    (A_g - 1) K0 stacked, generator i's rows offset by i * size * e (None
+    if there is no other generator or K0 is empty)."""
     size = _block_size(n, k, r)
     monomial, general = _split_generators(gens)
     k0 = (np.arange(size), np.ones(size, np.int64), size)
     if monomial:
         k0 = _orbit_kernel(field, [_monomial_permutation(field, g, k, r)
                                    for g in monomial])
-    m = None
-    for g in general:
-        width = k0[2] * field.e if m is None else m.shape[1]
-        if width == 0:
-            break
-        moved = _moved(field, g, k, r, k0)
-        if m is None:
-            entries = _digits(field, *moved)
-        else:
-            _, product = _sparse_product(field, *moved, m, width)
-            at = np.nonzero(product)
-            entries = (*at, product[at])
-            del product
-        reduction = _kernel(*entries, width, field.p)
-        del moved, entries
-        if m is None:
-            m = reduction
-        elif reduction.shape[1] < width:      # else g fixes all of M
-            m = _matmul_mod(m, reduction, field.p)
-    return k0, m
+    if not general or k0[2] == 0:
+        return k0, None
+    rows, cols, vals = zip(*(_digits(field, *_moved(field, g, k, r, k0))
+                             for g in general))
+    rows = [at + i * size * field.e for i, at in enumerate(rows)]
+    return k0, _kernel(np.concatenate(rows), np.concatenate(cols),
+                       np.concatenate(vals), k0[2] * field.e, field.p)
 
 
 def _resolve_group(group):
-    if isinstance(group, GroupPresentation):
-        return group.field, group.n, list(group.generators)
-    gens = list(group)
-    if not gens:
+    field, n, gens = _common_shape(group)
+    if field is None:
         raise ArityTooSmall("need a GroupPresentation or a nonempty matrix list")
-    return gens[0].field, gens[0].n, gens
+    return field, n, gens
 
 
 def _check_cap(n, d):
@@ -554,9 +506,10 @@ class FreeModuleDescription:
     basis_degrees: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "algebra_gen_degrees",
-                           tuple(self.algebra_gen_degrees))
-        object.__setattr__(self, "basis_degrees", tuple(self.basis_degrees))
+        object.__setattr__(self, "algebra_gen_degrees", _ints(
+            self.algebra_gen_degrees, "algebra generator degrees"))
+        object.__setattr__(self, "basis_degrees",
+                           _ints(self.basis_degrees, "basis degrees"))
         if any(a <= 0 for a in self.algebra_gen_degrees):
             raise InvalidModuleDescription(
                 "algebra generator degrees must be positive")
@@ -996,8 +949,7 @@ def verify_module(case, d_max=None) -> VerificationReport:
     degree by degree, and check every listed element for invariance."""
     c = _as_case(case)
     cap = degree_cap(c)
-    if d_max is None:
-        d_max = cap
+    (d_max,) = _ints((cap if d_max is None else d_max,), "d_max")
     if d_max < 0:
         raise NegativeDegree("need d_max >= 0")
     if d_max > cap:

@@ -129,6 +129,7 @@ class GroupPresentation:
 
 def transvection(field, n, i, j, c=1) -> GroupMatrix:
     """Identity plus c in position (i, j), i != j, 1-based."""
+    n, i, j = algebra._ints((n, i, j), "size and indices")
     if i == j:
         raise BadIndexTuple("transvection needs i != j")
     rows = [[int(a == b) for b in range(1, n + 1)] for a in range(1, n + 1)]
@@ -142,6 +143,7 @@ def diagonal(field, entries) -> GroupMatrix:
 
 
 def gl_order(n: int, q: int) -> int:
+    n, q = algebra._ints((n, q), "size and field order")
     total = 1
     for i in range(n):
         total *= q ** n - q ** i
@@ -160,6 +162,7 @@ def _omega_powers(field):
 def gens_standard(kind: str, n: int, field: FieldSpec) -> GroupPresentation:
     """Standard generator lists: every elementary transvection with each
     power-basis scalar for sl; the same plus one primitive diagonal for gl."""
+    (n,) = algebra._ints((n,), "size")
     return _linear(kind, n, field, [
         transvection(field, n, i, j, w) for i in range(1, n + 1)
         for j in range(1, n + 1) if i != j for w in _omega_powers(field)])
@@ -236,6 +239,8 @@ def gens_case(label: str, field: FieldSpec = None, n: int = None) -> GroupPresen
     row = _KINDS.get(label)
     if row is None or row.standard:
         raise UnknownCase(f"unknown case {label!r}")
+    if n is not None:
+        (n,) = algebra._ints((n,), "size")
     if row.q is None:
         if field is None or n is None:
             raise CaseFieldMismatch(f"case {label!r} needs both field and n")
@@ -255,6 +260,24 @@ def act(g: GroupMatrix, u):
     return algebra.tensor_act(g, u)
 
 
+def _common_shape(group):
+    """(field, n, generators) of a presentation, or of a matrix list with
+    the field and size of its first matrix (None for an empty list);
+    raises FieldMismatch or ArityMismatch unless every generator has
+    that field and size."""
+    if isinstance(group, GroupPresentation):
+        field, n, gens = group.field, group.n, list(group.generators)
+    else:
+        gens = list(group)
+        field, n = (gens[0].field, gens[0].n) if gens else (None, None)
+    for g in gens:
+        if g.field != field:
+            raise FieldMismatch(f"{field} vs {g.field}")
+        if g.n != n:
+            raise ArityMismatch(f"{n} x {n} vs {g.n} x {g.n} generators")
+    return field, n, gens
+
+
 def is_invariant(u, group) -> bool:
     """True when every listed generator fixes u."""
     gens = group.generators if isinstance(group, GroupPresentation) else group
@@ -272,17 +295,12 @@ def group_order_bfs(group, cap: int = 10 ** 6) -> int:
     F_p.  Raises CapExceeded exactly when the order exceeds cap, and
     InvalidCap for a cap below 1, which no group order can meet.
     """
+    (cap,) = algebra._ints((cap,), "cap")
     if cap < 1:
         raise InvalidCap(f"cap must be at least 1, got {cap}")
-    gens = group.generators if isinstance(group, GroupPresentation) else list(group)
+    field, n, gens = _common_shape(group)
     if not gens:
         return 1
-    field, n = gens[0].field, gens[0].n
-    for g in gens:
-        if g.field != field:
-            raise FieldMismatch(f"{field} vs {g.field}")
-        if g.n != n:
-            raise ArityMismatch(f"{n} x {n} vs {g.n} x {g.n} generators")
     p, width = field.p, n * field.e
     act = np.concatenate([_regular(field, g) for g in gens], axis=1)
 

@@ -5,6 +5,7 @@ import json
 import math
 import random
 from contextlib import contextmanager
+from dataclasses import replace
 from itertools import combinations
 from unittest import mock
 
@@ -43,8 +44,10 @@ from fqinv import (
 )
 from fqinv import algebra, fixedpoint, groups
 from fqinv.errors import (
+    ArityMismatch,
     ArityTooSmall,
     FeasibilityCapExceeded,
+    FieldMismatch,
     InvalidModuleDescription,
     NegativeDegree,
     NotAnInteger,
@@ -106,6 +109,10 @@ def test_series_reads_the_degree_as_an_integer():
     for d in (9.0, 8.5):
         with pytest.raises(NotAnInteger):
             hilbert_coeff(desc, d)
+    assert FreeModuleDescription((np.int64(4), 6), (0, np.int64(3))) == desc
+    for degrees in (((2.5,), (0,)), ((2,), (0, 1.0))):
+        with pytest.raises(NotAnInteger):
+            FreeModuleDescription(*degrees)
 
 
 def test_series_against_power_series_oracle():
@@ -353,20 +360,67 @@ def test_kernel_of_digit_entries_matches_dense_nullspace(field, data):
 
 
 def test_peeling_shrinks_what_e7_4_eliminates():
-    # the first general generator of e7_4's largest degree-36 block: the
-    # remainder that reaches _eliminate is a part of its digit matrix
+    # e7_4's largest degree-36 block: the one remainder that reaches
+    # _eliminate is a part of the stacked digit matrix of its general
+    # generators
     group = case_group("e7_4")
     field, n, k, r = group.field, group.n, 18, 0
     monomial, general = fixedpoint._split_generators(group.generators)
     k0 = fixedpoint._orbit_kernel(field, [
         fixedpoint._monomial_permutation(field, g, k, r) for g in monomial])
-    digit_rows, _, _ = fixedpoint._digits(
-        field, *fixedpoint._moved(field, general[0], k, r, k0))
-    full = (len(np.unique(digit_rows)), k0[2] * field.e)
+    live_rows = sum(len(np.unique(fixedpoint._digits(
+        field, *fixedpoint._moved(field, g, k, r, k0))[0])) for g in general)
+    full = (live_rows, k0[2] * field.e)
     with eliminated() as seen:
         fixedpoint._block_kernel(field, n, group.generators, k, r)
-    shape = seen[0].shape
+    (shape,) = [a.shape for a in seen]
     assert shape[0] < full[0] and shape[1] < full[1], (shape, full)
+
+
+def digit_matrix(field, a):
+    """The F_p matrix of the raw F_q array a on base-p digits: entry
+    (j, c) becomes the e x e block whose (k, i) entry is digit k of
+    t^i * a[j, c], so a product of F_q arrays is the product of theirs."""
+    e = field.e
+    return field.digit_table[a].transpose(0, 3, 1, 2).reshape(
+        a.shape[0] * e, a.shape[1] * e)
+
+
+@pytest.mark.parametrize("gens, d_max", [
+    (case_group("e7_4").generators, 14),
+    (case_group("e8_5a").generators, 8),
+    (gens_case("g0", F5, 3).generators, 10),
+    (gens_standard("gl", 3, F9).generators, 8),
+], ids=["e7_4", "e8_5a", "g0(3,5)", "gl(3,9)"])
+def test_block_kernel_is_the_dense_nullspace_of_the_stacked_operators(
+        gens, d_max):
+    # M is the reduced kernel of every general generator's (A_g - 1) K0
+    # at once, as digit matrices stacked in a dense array
+    field, n = gens[0].field, gens[0].n
+    _, general = fixedpoint._split_generators(gens)
+    assert general
+    for d in range(d_max + 1):
+        for k, r in fixedpoint._block_shapes(n, d):
+            (column, value, width), m = fixedpoint._block_kernel(
+                field, n, gens, k, r)
+            if width == 0:
+                assert m is None
+                continue
+            size = len(column)
+            k0 = np.zeros((size, width), dtype=np.int64)
+            kept = np.flatnonzero(column >= 0)
+            k0[kept, column[kept]] = value[kept]
+            k0 = digit_matrix(field, k0)
+            stacked = []
+            for g in general:
+                a = np.zeros((size, size), dtype=np.int64)
+                rows, cols, raws = fixedpoint._block_action(field, g, k, r)
+                a[rows, cols] = raws
+                moved = digit_matrix(field, a) - np.eye(size * field.e,
+                                                        dtype=np.int64)
+                stacked.append(moved @ k0 % field.p)
+            want = dense_nullspace(np.vstack(stacked), field.p)
+            assert np.array_equal(m, want), (k, r)
 
 
 @pytest.mark.parametrize("n", range(1, 6))
@@ -686,6 +740,22 @@ def test_monomial_permutation_matches_per_position_loop(gens, d_max):
             assert np.array_equal(scale, want_scale)
 
 
+def test_mixed_sizes_raise_arity_mismatch():
+    for gens in ([GroupMatrix.identity(F3, 2), GroupMatrix.identity(F3, 3)],
+                 replace(gens_standard("sl", 2, F3), n=3)):
+        for call in (fixed_dim, fixed_basis):
+            with pytest.raises(ArityMismatch):
+                call(gens, 1)
+
+
+def test_mixed_fields_raise_field_mismatch():
+    for gens in ([GroupMatrix.identity(F3, 2), GroupMatrix.identity(F5, 2)],
+                 replace(gens_standard("sl", 2, F3), field=F5)):
+        for call in (fixed_dim, fixed_basis):
+            with pytest.raises(FieldMismatch):
+                call(gens, 1)
+
+
 def test_empty_generator_list_raises_arity_too_small():
     for call in (fixed_dim, fixed_basis):
         with pytest.raises(ArityTooSmall) as info:
@@ -926,6 +996,17 @@ def test_module_descriptions_golden():
         assert tuple(sorted(desc.basis_degrees)) == basis, label
 
 
+@pytest.mark.parametrize("label, top", [
+    ("e7_4", 81), ("e8_5a", 28), ("parabolic(4,3)", 27)])
+def test_fixed_dims_match_the_series_to_the_top_basis_degree(label, top):
+    # past the default caps: e7_4's O(x1)*Q_I classes lie at 58..81, and
+    # 28 is e8_5a's top basis degree below its x5*O(x1)*Q_I classes
+    group, desc = case_group(label), module_description(label)
+    assert top in desc.basis_degrees
+    assert [fixed_dim(group, d) for d in range(top + 1)] == \
+        [hilbert_coeff(desc, d) for d in range(top + 1)]
+
+
 def test_degree_caps_schedule():
     expected = {
         "sl(2,3)": 40, "gl(2,3)": 40, "sl(3,3)": 30, "sl(4,3)": 12,
@@ -1052,6 +1133,10 @@ def test_verify_module_rejects_degrees_past_cap():
         verify_module("sl(2,3)", 100)
     with pytest.raises(NegativeDegree):
         verify_module("sl(2,3)", -1)
+    assert verify_module("sl(2,3)", np.int64(2)) == verify_module("sl(2,3)", 2)
+    for d_max in (2.0, "2"):
+        with pytest.raises(NotAnInteger):
+            verify_module("sl(2,3)", d_max)
 
 
 def test_verify_module_refuses_an_infeasible_witness_first(monkeypatch):

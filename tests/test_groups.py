@@ -2,6 +2,7 @@
 
 import itertools
 from collections import deque
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from fqinv.errors import (
     FieldMismatch,
     FqinvError,
     InvalidCap,
+    NotAnInteger,
     SingularMatrix,
     UnknownCase,
 )
@@ -278,6 +280,31 @@ def test_bfs_rejects_mixed_generators():
     with pytest.raises(ArityMismatch):
         group_order_bfs([GroupMatrix.identity(F3, 2),
                          GroupMatrix.identity(F3, 3)])
+    # a presentation's generators must match its own field and size
+    sl2 = gens_standard("sl", 2, F3)
+    with pytest.raises(FieldMismatch):
+        group_order_bfs(replace(sl2, field=F9))
+    with pytest.raises(ArityMismatch):
+        group_order_bfs(replace(sl2, n=3))
+
+
+@pytest.mark.parametrize("call, ints, plain, floats", [
+    (transvection, (F3, np.int64(2), np.int64(1), 2), (F3, 2, 1, 2),
+     [(F3, 2, 1.0, 2), (F3, 2.0, 1, 2)]),
+    (gens_standard, ("sl", np.int64(2), F3), ("sl", 2, F3),
+     [("sl", 2.0, F3)]),
+    (gens_case, ("g0", F3, np.int64(2)), ("g0", F3, 2), [("g0", F3, 2.0)]),
+    (gl_order, (np.int64(2), np.int64(3)), (2, 3), [(2.0, 3), (2, "3")]),
+    (lambda cap: group_order_bfs(gens_standard("sl", 2, F3), cap=cap),
+     (np.int64(24),), (24,), [("x",), (2.5,), (24.0,)]),
+], ids=["transvection", "gens_standard", "gens_case", "gl_order",
+        "group_order_bfs"])
+def test_sizes_indices_and_caps_read_integers(call, ints, plain, floats):
+    assert call(*ints) == call(*plain)
+    for args in floats:
+        with pytest.raises(NotAnInteger) as info:
+            call(*args)
+        assert isinstance(info.value, FqinvError)
 
 
 def test_wide_keys_over_f9_g0():
