@@ -25,6 +25,7 @@ import numpy as np
 from .errors import (
     ArityMismatch,
     BadIndexTuple,
+    DegreeMismatch,
     FieldMismatch,
     IndexOutOfRange,
     NegativeDegree,
@@ -861,16 +862,28 @@ class TensorElement:
             for d, parts in sorted(buckets.items())
         }
 
+    def _coh_degrees(self):
+        """The terms' distinct cohomological degrees 2*|exp| + |ext|, up to
+        the second one found: one for a homogeneous element, none for 0."""
+        found = []
+        for ext, poly in self.parts.items():
+            for exp in poly.terms:
+                d = 2 * sum(exp) + len(ext)
+                if not found or d != found[0]:
+                    found.append(d)
+                    if len(found) == 2:
+                        return found
+        return found
+
     def is_homogeneous(self):
-        return len(self.coh_components()) <= 1
+        return len(self._coh_degrees()) <= 1
 
     def coh_degree(self):
         """Cohomological degree if homogeneous; 0 for zero."""
-        comps = self.coh_components()
-        if len(comps) > 1:
-            from .errors import DegreeMismatch
+        found = self._coh_degrees()
+        if len(found) > 1:
             raise DegreeMismatch("element is not homogeneous")
-        return next(iter(comps), 0)
+        return found[0] if found else 0
 
     def __eq__(self, other):
         other = _as_tensor(self, other)

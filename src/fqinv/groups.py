@@ -10,6 +10,7 @@ an independent order count for everything of modest size.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,15 @@ from .errors import (
     UnknownCase,
 )
 from .field import FieldSpec, make_field
+
+# a key word holds values below 2**62, so the int64 arithmetic on it
+# cannot overflow
+_WORD = 2 ** 62
+# group_order_bfs counts on a bit set while it is no larger than the sorted
+# int64 keys at the cap, 64 bits each
+_BITS_PER_CAP = 64
+# frontier elements stepped at once by _count_on_bits
+_CHUNK = 1 << 13
 
 
 class GroupMatrix:
@@ -288,12 +298,16 @@ def group_order_bfs(group, cap: int = 10 ** 6) -> int:
     """Count the closure of the generators by breadth-first products.
 
     Row i of M*g is (row i of M)*g, so an element is the tuple of the
-    indices of its rows in the union of the orbits of the identity's rows,
-    and each generator acts on those indices by one table.  Every field
-    runs the same vectorised closure: over F_{p^e} a row is its n*e
+    indices of its rows, row i's in the orbit O_i of the identity's row i,
+    and each generator acts on those indices by one table per row.  Every
+    field runs the same vectorised closure: over F_{p^e} a row is its n*e
     base-p digits, and g acts on them by its regular representation over
-    F_p.  Raises CapExceeded exactly when the order exceeds cap, and
-    InvalidCap for a cap below 1, which no group order can meet.
+    F_p.  The elements are counted on a bit set over the mixed-radix keys
+    of their index tuples when that key space, of prod |O_i| keys, has at
+    most _BITS_PER_CAP * cap bits (the size of cap sorted int64 keys) and
+    fits one int64 word; else _closure collects the tuples' sorted keys.
+    Raises CapExceeded exactly when the order exceeds cap, and InvalidCap
+    for a cap below 1, which no group order can meet.
     """
     (cap,) = algebra._ints((cap,), "cap")
     if cap < 1:
@@ -309,28 +323,39 @@ def group_order_bfs(group, cap: int = 10 ** 6) -> int:
 
     ident = np.zeros((n, width), dtype=np.int64)
     ident[np.arange(n), np.arange(0, width, field.e)] = 1
-    row_keys = _closure(ident, move_rows, p, cap)
-    # tables[k, i]: the index of row i times gens[k], rows in key order, in
-    # the narrowest int type that holds an index (each level gathers
+    orbits = [_closure(ident[i:i + 1], move_rows, p, cap) for i in range(n)]
+    sizes = [len(orbit) for orbit in orbits]
+    # tables[k, i, j]: the index in O_i of row j of O_i times gens[k], in
+    # the narrowest int type that holds an index (each step gathers
     # len(gens) * n entries per frontier element from it)
-    images = _keys(move_rows(_rows(row_keys, p, width)), p)
-    tables = np.searchsorted(row_keys, images).reshape(len(row_keys), -1).T
-    tables = np.ascontiguousarray(tables, dtype=np.min_scalar_type(len(row_keys)))
+    tables = np.zeros((len(gens), n, max(sizes)),
+                      dtype=np.min_scalar_type(max(sizes)))
+    for i, orbit in enumerate(orbits):
+        images = _keys(move_rows(_rows(orbit, p, width)), p)
+        tables[:, i, :sizes[i]] = np.searchsorted(orbit, images).reshape(
+            sizes[i], -1).T
+    tables = tables.reshape(len(gens), -1)
+    offsets = np.arange(n) * max(sizes)
 
     def move_elements(elements):
-        return tables[:, elements].reshape(-1, n)
+        return np.take(tables, elements + offsets, axis=1).reshape(-1, n)
 
-    start = np.searchsorted(row_keys, _keys(ident, p))[None, :]
-    return len(_closure(start, move_elements, len(row_keys), cap))
+    ident_keys = _keys(ident, p)
+    start = np.array([[np.searchsorted(orbit, ident_keys[i:i + 1])[0]
+                       for i, orbit in enumerate(orbits)]])
+    if math.prod(sizes) > min(_BITS_PER_CAP * cap, _WORD):
+        return len(_closure(start, move_elements, sizes, cap))
+    return _count_on_bits(start, move_elements, sizes, cap)
 
 
 def _closure(start, step, base, cap):
-    """Sorted keys of every row reachable from the rows of start by step,
-    which maps a frontier of rows (ints in range(base)) to their images
-    under every generator.  Each start row's orbit has at most the group
-    order, so more than cap * len(start) rows prove that it exceeds cap."""
+    """Sorted keys of every row reachable from the one row of start by
+    step, which maps a frontier of rows (column j's ints in range(base[j]),
+    or range(base) for an int) to their images under every generator.  The
+    orbit of a row has at most the group order, so more than cap rows
+    prove that it exceeds cap."""
     width = start.shape[1]
-    visited = np.unique(_keys(start, base))
+    visited = _keys(start, base)
     frontier = start
     while len(frontier):
         keys = np.sort(_keys(step(frontier), base))
@@ -338,10 +363,37 @@ def _closure(start, step, base, cap):
         new = visited[np.minimum(pos, len(visited) - 1)] != keys
         new[1:] &= keys[1:] != keys[:-1]
         visited = np.insert(visited, pos[new], keys[new])
-        if len(visited) > cap * len(start):
+        if len(visited) > cap:
             raise CapExceeded(f"closure exceeded cap {cap}")
         frontier = _rows(keys[new], base, width)
     return visited
+
+
+def _count_on_bits(start, step, sizes, cap):
+    """The number of index tuples reachable from the one tuple of start by
+    step (as for _closure), column i's in range(sizes[i]): each frontier
+    chunk's images are keyed, those whose bit is set are dropped, and the
+    bits of the unique rest are set."""
+    width = start.shape[1]
+    frontier = _keys(start, sizes)
+    seen = np.zeros(-(-math.prod(sizes) // 8), dtype=np.uint8)
+    seen[frontier >> 3] = 1 << (frontier & 7)
+    count = 1
+    while len(frontier):
+        fresh = []
+        for lo in range(0, len(frontier), _CHUNK):
+            keys = _keys(step(_rows(frontier[lo:lo + _CHUNK], sizes, width)),
+                         sizes)
+            keys = np.sort(keys[(seen[keys >> 3] >> (keys & 7) & 1) == 0])
+            keys = keys[np.diff(keys, prepend=-1) != 0]
+            np.bitwise_or.at(seen, keys >> 3,
+                             (1 << (keys & 7)).astype(np.uint8))
+            count += len(keys)
+            if count > cap:
+                raise CapExceeded(f"closure exceeded cap {cap}")
+            fresh.append(keys)
+        frontier = np.concatenate(fresh)
+    return count
 
 
 def _regular(field, g):
@@ -353,23 +405,33 @@ def _regular(field, g):
     return blocks.transpose(0, 2, 1, 3).reshape(width, width)
 
 
-def _digits_per_word(base, width):
-    per = 1
-    while per < width and base ** (per + 1) <= 2 ** 62:
-        per += 1
-    return per
+def _radices(base, width):
+    return np.broadcast_to(base, (width,)).tolist()
+
+
+def _word_spans(radices):
+    """(lo, hi) column ranges, one per int64 word of a key: each word packs
+    as many columns as keep its range of values within _WORD."""
+    spans, lo, size = [], 0, 1
+    for col, radix in enumerate(radices):
+        if col > lo and size * radix > _WORD:
+            spans.append((lo, col))
+            lo, size = col, 1
+        size *= radix
+    return spans + [(lo, len(radices))]
 
 
 def _keys(rows, base):
-    """One key per row of a matrix of ints in range(base), equal exactly
-    when the rows are: an int64 when base**width fits in 62 bits, else the
-    row's big-endian int64 words viewed as one raw-bytes value."""
-    per = _digits_per_word(base, rows.shape[1])
+    """One key per row of a matrix of ints, column j's in range(base[j]) (or
+    range(base) for an int), equal exactly when the rows are: the row's
+    mixed-radix int64 when the product of the radices is at most _WORD,
+    else its big-endian int64 words viewed as one raw-bytes value."""
+    radices = _radices(base, rows.shape[1])
     words = []
-    for lo in range(0, rows.shape[1], per):
+    for lo, hi in _word_spans(radices):
         word = np.zeros(len(rows), dtype=np.int64)
-        for col in rows.T[lo:lo + per]:
-            word = word * base + col
+        for col in range(lo, hi):
+            word = word * radices[col] + rows[:, col]
         words.append(word)
     if len(words) == 1:
         return words[0]
@@ -378,12 +440,13 @@ def _keys(rows, base):
 
 def _rows(keys, base, width):
     """The rows whose _keys are keys."""
-    per = _digits_per_word(base, width)
-    count = keys.itemsize // 8
-    words = (keys.view(">i8") if count > 1 else keys).reshape(len(keys), count)
+    radices = _radices(base, width)
+    spans = _word_spans(radices)
+    words = (keys.view(">i8") if len(spans) > 1 else keys).reshape(
+        len(keys), len(spans))
     out = np.empty((len(keys), width), dtype=np.int64)
-    for w, lo in enumerate(range(0, width, per)):
+    for w, (lo, hi) in enumerate(spans):
         word = words[:, w].astype(np.int64)
-        for col in reversed(range(lo, min(lo + per, width))):
-            word, out[:, col] = np.divmod(word, base)
+        for col in reversed(range(lo, hi)):
+            word, out[:, col] = np.divmod(word, radices[col])
     return out

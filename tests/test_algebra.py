@@ -21,6 +21,7 @@ from fqinv import (
 from fqinv.errors import (
     ArityMismatch,
     BadIndexTuple,
+    DegreeMismatch,
     FieldMismatch,
     FqinvError,
     IndexOutOfRange,
@@ -156,6 +157,22 @@ def test_tensor_grading():
     assert u.is_homogeneous()
     parts = dict(u.coh_components())
     assert set(parts) == {4}
+
+
+def test_inhomogeneous_tensor_has_no_degree():
+    # x1 dx2 has degree 3 and dx2 degree 1
+    u = TensorElement.from_polynomial(x(F3, 3, 1)) * dx(F3, 3, 2) + dx(F3, 3, 2)
+    assert not u.is_homogeneous()
+    with pytest.raises(DegreeMismatch) as info:
+        u.coh_degree()
+    assert isinstance(info.value, ValueError)
+    # x1 has degree 2 and dx1 dx2 dx3 degree 3
+    v = TensorElement.from_polynomial(x(F3, 3, 1)) + dx(F3, 3, 1, 2, 3)
+    assert not v.is_homogeneous()
+    with pytest.raises(DegreeMismatch):
+        v.coh_degree()
+    zero = TensorElement.zero(F3, 3)
+    assert zero.is_homogeneous() and zero.coh_degree() == 0
 
 
 @pytest.mark.parametrize("exp, error", [

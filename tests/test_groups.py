@@ -1,6 +1,7 @@
 """Matrix groups: arithmetic, presentations, orders, invariance."""
 
 import itertools
+import tracemalloc
 from collections import deque
 from dataclasses import replace
 
@@ -249,6 +250,11 @@ def generator_pool(field, n):
                diagonal(field, [field.p - 1] + [1] * (n - 1))))
 
 
+# _BITS_PER_CAP as shipped, then forcing the bit set (every key space of
+# one word is small enough) and the sorted keys (no key space is)
+ROUTES = {"default": groups._BITS_PER_CAP, "bits": groups._WORD, "sorted": 0}
+
+
 @pytest.mark.parametrize("field", (F3, F5, F9, F25), ids=repr)
 @seed(20261018)
 @SETTINGS
@@ -263,14 +269,38 @@ def test_closure_matches_product_bfs_on_random_generator_subsets(field, data):
     try:
         order = reference_bfs(gens, cap)
     except CapExceeded:
-        with pytest.raises(CapExceeded):
-            group_order_bfs(gens, cap)
-        return
-    assert group_order_bfs(gens, cap) == order
-    assert group_order_bfs(gens, order) == order
-    if order > 1:
-        with pytest.raises(CapExceeded):
-            group_order_bfs(gens, order - 1)
+        order = None
+    for route, bits_per_cap in ROUTES.items():
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(groups, "_BITS_PER_CAP", bits_per_cap)
+            calls = []
+            real = groups._count_on_bits
+            mp.setattr(groups, "_count_on_bits",
+                       lambda *args: calls.append(args) or real(*args))
+            if order is None:
+                with pytest.raises(CapExceeded):
+                    group_order_bfs(gens, cap)
+                continue
+            assert group_order_bfs(gens, cap) == order
+            if route != "default":
+                assert bool(calls) == (route == "bits")
+            assert group_order_bfs(gens, order) == order
+            if order > 1:
+                with pytest.raises(CapExceeded):
+                    group_order_bfs(gens, order - 1)
+
+
+def test_e8_5a_closure_memory_stays_small():
+    # the sorted keys at the cap took 79.6 MB of traced numpy memory; the
+    # bit set over the 5.7e6 orbit-index keys is 0.7 MB
+    pres = case_group(parse_case("e8_5a"))
+    tracemalloc.start()
+    try:
+        assert group_order_bfs(pres, cap=2 * 10 ** 6) == pres.order
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2 ** 20
 
 
 def test_bfs_rejects_mixed_generators():
@@ -307,20 +337,40 @@ def test_sizes_indices_and_caps_read_integers(call, ints, plain, floats):
         assert isinstance(info.value, FqinvError)
 
 
-def test_wide_keys_over_f9_g0():
-    # the identity's rows have 9**4 + 4 = 6565 images, and 6565**5 > 2**62,
-    # so each element key spans two int64 words
+def test_wide_keys_over_f9_g0(monkeypatch):
+    # an element key is one word over the orbit sizes 9**4, 1, 1, 1, 1
     assert group_order_bfs(gens_case("g0", F9, 5)) == 9 ** 4
+    # a row of F9^20 is 40 base-3 digits, and 3**40 > 2**62, so the keys of
+    # the row closures span two int64 words
+    widths = []
+    real = groups._keys
+
+    def keys(rows, base):
+        out = real(rows, base)
+        widths.append(out.itemsize)
+        return out
+
+    monkeypatch.setattr(groups, "_keys", keys)
+    gens = [transvection(F9, 20, 1, 2, w) for w in groups._omega_powers(F9)]
+    assert group_order_bfs(gens) == 9
+    assert 16 in widths
 
 
-@pytest.mark.parametrize("base, width", [(3, 4), (6565, 5), (113, 30)])
+# an int base, or one radix per column: e7_4's orbit sizes, and six
+# columns whose key spans two words
+@pytest.mark.parametrize("base, width", [(3, 4), (6565, 5), (113, 30),
+                                         ((54, 26, 26, 26), 4),
+                                         ((6561,) * 5 + (2,), 6)])
 def test_keys_round_trip(rng, base, width):
-    rows = np.array([[rng.randrange(base) for _ in range(width)]
+    radices = np.broadcast_to(base, (width,)).tolist()
+    rows = np.array([[rng.randrange(r) for r in radices]
                      for _ in range(200)], dtype=np.int64)
     rows[1] = rows[0]
     keys = groups._keys(rows, base)
     assert np.array_equal(groups._rows(keys, base, width), rows)
     assert len(np.unique(keys)) == len({tuple(r) for r in rows.tolist()})
+    if keys.dtype == np.int64:
+        assert 0 <= keys.min() and keys.max() < np.prod(radices, dtype=object)
 
 
 @pytest.mark.parametrize("kind, field", [("sl", F9), ("gl", F9), ("sl", F25)],
