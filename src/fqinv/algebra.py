@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import (
     ArityMismatch,
+    ArityTooSmall,
     BadIndexTuple,
     DegreeMismatch,
     FieldMismatch,
@@ -55,6 +56,7 @@ class Polynomial:
     __slots__ = ("field", "n", "terms")
 
     def __init__(self, field: FieldSpec, n: int, terms=None):
+        n = _arity(n)
         self.field = field
         self.n = n
         clean = {}
@@ -82,19 +84,22 @@ class Polynomial:
 
     @classmethod
     def zero(cls, field, n):
-        return cls._make(field, n, {})
+        return cls._make(field, _arity(n), {})
 
     @classmethod
     def one(cls, field, n):
+        n = _arity(n)
         return cls._make(field, n, {(0,) * n: field.one})
 
     @classmethod
     def constant(cls, field, n, c):
+        n = _arity(n)
         raw = _coerce_raw(field, c)
         return cls._make(field, n, {(0,) * n: raw} if raw else {})
 
     @classmethod
     def variable(cls, field, n, i, power=1):
+        n = _arity(n)
         i, power = _ints((i, power), "variable index and power")
         if not 1 <= i <= n:
             raise IndexOutOfRange(f"variable index {i} not in 1..{n}")
@@ -153,7 +158,7 @@ class Polynomial:
 
     def scale_raw(self, raw: int):
         if raw == 0:
-            return Polynomial.zero(self.field, self.n)
+            return Polynomial._make(self.field, self.n, {})
         if raw == self.field.one:
             return self
         fmul = self.field.mul
@@ -177,10 +182,14 @@ class Polynomial:
 
     def q_power(self):
         """Frobenius: f -> f^q, exponents scale by q, coefficients fixed."""
-        q = self.field.q
+        q, terms = self.field.q, self.terms
+        exps = _exp_array(terms) if terms else None
+        if exps is not None and int(exps.max(initial=0)) * q <= _INT64_MAX:
+            return Polynomial._make(self.field, self.n, _term_dict(
+                (exps * q).T, list(terms.values())))
         return Polynomial._make(
             self.field, self.n,
-            {tuple(e * q for e in exp): c for exp, c in self.terms.items()},
+            {tuple(e * q for e in exp): c for exp, c in terms.items()},
         )
 
     # -- structure -----------------------------------------------------
@@ -206,7 +215,10 @@ class Polynomial:
         return exp, self.terms[exp]
 
     def coefficient(self, exp):
-        return self.field.from_raw(self.terms.get(tuple(exp), 0))
+        exp = _ints(exp, "exponent tuple")
+        if len(exp) != self.n:
+            raise ArityMismatch(f"exponent tuple {exp} needs length {self.n}")
+        return self.field.from_raw(self.terms.get(exp, 0))
 
     def __eq__(self, other):
         if isinstance(other, Polynomial):
@@ -287,6 +299,15 @@ def _ints(values, what):
         raise NotAnInteger(f"{what} {values!r} holds a non-integer") from None
 
 
+def _arity(n):
+    """A variable count as an int; NotAnInteger or ArityTooSmall when it
+    is not a non-negative integer."""
+    (n,) = _ints((n,), "variable count")
+    if n < 0:
+        raise ArityTooSmall(f"variable count {n} is negative")
+    return n
+
+
 def _raw_value(field, c) -> int:
     """A FieldElement's raw, or an int that already is one.  An int is not
     reduced mod p: that would fold an extension field value into the prime
@@ -331,6 +352,8 @@ def _raw_rows(field, n, rows):
 _NUMPY_MIN_PAIRS = 1 << 7    # smaller products run as a Python loop
 _CHUNK_PAIRS = 1 << 15       # outer-sum pairs numpy forms at once
 _INT64_BITS = 62             # widest packed key numpy takes
+_INT64_MAX = (1 << 63) - 1   # largest exponent an int64 array holds
+_SMALL_INT_MAX = 256         # largest int CPython keeps one object for
 
 
 def _unpack(out, shifts, masks):
@@ -340,12 +363,28 @@ def _unpack(out, shifts, masks):
             for s, m in zip(shifts, masks)]
     raws = [v for v in out.values() if v]
     out.clear()
-    return dict(zip(zip(*cols), raws))
+    if max(masks, default=0) > _SMALL_INT_MAX:
+        # one object per distinct exponent, as _shared_ints gives; these
+        # outputs are small, so a dict costs less than numpy here
+        same = {}.setdefault
+        cols = [col if max(col, default=0) <= _SMALL_INT_MAX
+                else [same(e, e) for e in col] for col in cols]
+    return dict(zip(zip(*cols) if cols else [()] * len(raws), raws))
 
 
 def _shift_terms(field, exp, c, terms):
     """terms times the monomial c*x^exp; distinct exponents stay distinct,
     so nothing needs adding."""
+    if len(terms) >= _NUMPY_MIN_PAIRS:
+        exps = _exp_array(terms)
+        if exps is not None and all(
+                t + e <= _INT64_MAX
+                for t, e in zip(exps.max(axis=0).tolist(), exp)):
+            raws = np.fromiter(terms.values(), np.int64, len(terms))
+            if c != field.one:
+                raws = field.product_array[raws, c]
+            return _term_dict((exps + np.array(exp, dtype=np.int64)).T,
+                              raws.tolist())
     if c == field.one:
         return {tuple(x + y for x, y in zip(e, exp)): v
                 for e, v in terms.items()}
@@ -379,9 +418,33 @@ def _accumulate(field, pieces):
 
 def _unpack_arrays(keys, raws, shifts, masks):
     """Term dict of packed keys and raws given as int64 arrays."""
+    return _term_dict(((keys >> s) & m for s, m in zip(shifts, masks)),
+                      raws.tolist())
+
+
+def _term_dict(cols, raws):
+    """Term dict of the exponent columns `cols`, int64 arrays, and the
+    list of the terms' raws, in term order."""
+    cols = _shared_ints(list(cols))
+    return dict(zip(zip(*cols) if cols else [()] * len(raws), raws))
+
+
+def _shared_ints(cols):
+    """The int64 arrays `cols` as lists of Python ints with one object per
+    distinct value among them all.  CPython shares the ints up to 256 by
+    itself and makes a 32-byte object for every other one; the exponents
+    of a term dict repeat few values (the 156 601 terms of
+    theorem_basis(F25, "gl", 3) hold 376), so columns above 256 are
+    unpacked through their distinct values."""
     # one column at a time: a (terms, n) array's tolist() costs more memory
-    cols = [((keys >> s) & m).tolist() for s, m in zip(shifts, masks)]
-    return dict(zip(zip(*cols), raws.tolist()))
+    if max((col.max() for col in cols if len(col)), default=0) <= _SMALL_INT_MAX:
+        return [col.tolist() for col in cols]
+    same, out = {}.setdefault, []
+    for col in cols:
+        values, inverse = np.unique(col, return_inverse=True)
+        table = np.array([same(v, v) for v in values.tolist()], dtype=object)
+        out.append(table[inverse].tolist())
+    return out
 
 
 def _layout(max_a, max_b):
@@ -723,6 +786,7 @@ class TensorElement:
     __slots__ = ("field", "n", "parts")
 
     def __init__(self, field: FieldSpec, n: int, parts=None):
+        n = _arity(n)
         self.field = field
         self.n = n
         clean = {}
@@ -748,21 +812,23 @@ class TensorElement:
 
     @classmethod
     def zero(cls, field, n):
-        return cls._make(field, n, {})
+        return cls._make(field, _arity(n), {})
 
     @classmethod
     def one(cls, field, n):
+        n = _arity(n)
         return cls._make(field, n, {(): Polynomial.one(field, n)})
 
     @classmethod
     def from_polynomial(cls, poly: Polynomial):
         if poly.is_zero():
-            return cls.zero(poly.field, poly.n)
+            return cls._make(poly.field, poly.n, {})
         return cls._make(poly.field, poly.n, {(): poly})
 
     @classmethod
     def dx(cls, field, n, indices):
         """dx_{j_1} ^ ... ^ dx_{j_r} for strictly increasing indices."""
+        n = _arity(n)
         ext = _ints(indices, "exterior word")
         if list(ext) != sorted(set(ext)) or any(not 1 <= j <= n for j in ext):
             raise BadIndexTuple(f"indices must be strictly increasing in 1..{n}")
@@ -826,7 +892,7 @@ class TensorElement:
     def scale(self, c):
         raw = _coerce_raw(self.field, c)
         if raw == 0:
-            return TensorElement.zero(self.field, self.n)
+            return TensorElement._make(self.field, self.n, {})
         return TensorElement._make(
             self.field, self.n,
             {e: p.scale_raw(raw) for e, p in self.parts.items()},
@@ -842,7 +908,7 @@ class TensorElement:
 
     def polynomial_part(self):
         """Coefficient of the empty exterior word."""
-        return self.parts.get((), Polynomial.zero(self.field, self.n))
+        return self.parts.get((), Polynomial._make(self.field, self.n, {}))
 
     def coh_components(self):
         """Split into cohomologically homogeneous pieces, degree -> element."""

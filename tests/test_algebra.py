@@ -20,6 +20,7 @@ from fqinv import (
 )
 from fqinv.errors import (
     ArityMismatch,
+    ArityTooSmall,
     BadIndexTuple,
     DegreeMismatch,
     FieldMismatch,
@@ -75,6 +76,17 @@ def test_polynomial_power_and_frobenius(rng):
         assert f ** 0 == Polynomial.one(F9, 2)
         assert f ** 3 == f * f * f
         assert f.q_power() == f ** F9.q
+
+
+def test_no_variable_constants_keep_their_term():
+    c = Polynomial.constant(F3, 0, 2)
+    assert c.substitute_linear([]) == c
+    assert c.q_power() == c and (c * c).terms == {(): 1}
+
+
+def test_q_power_past_int64_exponents():
+    f = x(F9, 2, 1, 1 << 61) + x(F9, 2, 2, 3)
+    assert f.q_power().terms == {(9 << 61, 0): 1, (0, 27): 1}
 
 
 def test_negative_power_raises_negative_degree():
@@ -259,6 +271,42 @@ def test_variable_reads_index_and_power_as_integers():
         with pytest.raises(NotAnInteger) as info:
             x(F3, 2, i, power)
         assert isinstance(info.value, FqinvError)
+
+
+@pytest.mark.parametrize("build", [
+    lambda n: Polynomial(F3, n, {}),
+    lambda n: Polynomial.zero(F3, n),
+    lambda n: Polynomial.one(F3, n),
+    lambda n: Polynomial.constant(F3, n, 2),
+    lambda n: Polynomial.variable(F3, n, 1),
+    lambda n: TensorElement(F3, n),
+    lambda n: TensorElement.zero(F3, n),
+    lambda n: TensorElement.one(F3, n),
+    lambda n: TensorElement.dx(F3, n, (1,)),
+], ids=["Polynomial", "Polynomial.zero", "Polynomial.one", "Polynomial.constant",
+        "Polynomial.variable", "TensorElement", "TensorElement.zero",
+        "TensorElement.one", "TensorElement.dx"])
+def test_element_sizes_are_non_negative_integers(build):
+    u = build(np.int64(2))
+    assert u.n == 2 and type(u.n) is int
+    for n in (2.0, 1.5, "2", None):
+        with pytest.raises(NotAnInteger):
+            build(n)
+    with pytest.raises(ArityTooSmall) as info:
+        build(-2)
+    assert isinstance(info.value, FqinvError)
+
+
+def test_coefficient_reads_its_exponent_as_integers():
+    f = x(F3, 2, 1).scale(2)
+    assert f.coefficient((np.int64(1), 0)) == 2
+    assert f.coefficient([0, 1]) == 0
+    for exp in ((1.0, 0), ("1", 0), 1):
+        with pytest.raises(NotAnInteger):
+            f.coefficient(exp)
+    for exp in ((1,), (1, 0, 0)):
+        with pytest.raises(ArityMismatch):
+            f.coefficient(exp)
 
 
 def test_polynomial_reads_exponents_as_integers():

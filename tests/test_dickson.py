@@ -1,5 +1,6 @@
 """Dickson classes, orbit products, and determinant forms."""
 
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -35,7 +36,7 @@ from fqinv.errors import (
     UnknownMethod,
 )
 
-from conftest import ALL_FIELDS, F3, F5
+from conftest import ALL_FIELDS, F3, F5, F25
 
 
 def x(field, n, i, power=1):
@@ -256,6 +257,21 @@ def test_module_generators_counts_and_degrees():
     with pytest.raises(UnknownCase) as info:
         theorem_basis(F3, "b", 2)
     assert isinstance(info.value, ValueError)
+
+
+def test_gl_basis_over_f25_memory_stays_small():
+    # 156 601 terms whose exponents reach 14 375 but take 376 values: one
+    # int object per occurrence peaked at about 30.6 MB of traced memory,
+    # one per distinct value in each term dict at about 16.4 MB
+    tracemalloc.start()
+    try:
+        basis = theorem_basis(F25, "gl", 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [u.coh_degree() for u in basis] == [
+        0, 29949, 29950, 29998, 31198, 29999, 31199, 31247]
+    assert peak < 22 * 2 ** 20
 
 
 def test_dickson_classes_are_invariant():

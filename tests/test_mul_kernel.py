@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from fqinv import Polynomial, algebra
 
-from conftest import ALL_FIELDS, F5, F125
+from conftest import ALL_FIELDS, F5, F25, F125
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True,
                     database=None,
@@ -141,3 +141,139 @@ def test_coordinate_lanes_at_their_extreme(field):
     b = {exp: 1 for exp in a}
     got = check(field, 2, a, b)
     assert got.get((124, 124), 0) == field.mul(125 % field.p, field.q - 1)
+
+
+# -- shared exponent objects -------------------------------------------------
+#
+# Every builder of a large term dict gives equal exponents above 256 one
+# object.  The inputs are over F25 with exponents past 256, as the gl basis
+# of Mui's theorem carries them.
+
+BIG_A = {(300 + i, 2 * i, 7): 1 + i % 24 for i in range(12)}
+BIG_B = {(i % 5, 300 + 3 * (i % 9), 500 - i): 1 + i % 23 for i in range(150)}
+MONOMIAL = {(257, 0, 1000): 7}
+# x1 -> x1 + x2, x2 -> 2 x2, x3 -> x3
+ROWS = [[1, 1, 0], [0, 2, 0], [0, 0, 1]]
+SMALL_B = dict(list(BIG_B.items())[:20])
+
+
+def _todays_shift(exp, c, terms):
+    fmul = F25.mul
+    return {tuple(x + y for x, y in zip(e, exp)): fmul(v, c)
+            for e, v in terms.items()}
+
+
+def _by_packed_key(terms):
+    """terms in the order of the numpy routes: ascending packed key, with
+    x_1 in the lowest bits."""
+    return dict(sorted(terms.items(), key=lambda t: t[0][::-1]))
+
+
+def _substitute_by_python(terms):
+    with forced("python"):
+        return poly(F25, 3, terms).substitute_linear(ROWS).terms
+
+
+BUILDERS = {
+    # name: (route, the term dict it builds, the same dict as built before
+    # exponents were shared, with the same keys, raws and order; None where
+    # the same route unpacking without sharing shows it)
+    "mul-numpy": ("numpy", lambda: poly(F25, 3, BIG_A) * poly(F25, 3, BIG_B),
+                  lambda: _by_packed_key(reference_mul(F25, BIG_A, BIG_B))),
+    "mul-python": ("python", lambda: poly(F25, 3, BIG_A) * poly(F25, 3, BIG_B),
+                   lambda: reference_mul(F25, BIG_A, BIG_B)),
+    "shift-numpy": (None, lambda: poly(F25, 3, MONOMIAL) * poly(F25, 3, BIG_B),
+                    lambda: _todays_shift((257, 0, 1000), 7, BIG_B)),
+    "q_power": (None, lambda: poly(F25, 3, BIG_B).q_power(),
+                lambda: {tuple(e * 25 for e in exp): c
+                         for exp, c in BIG_B.items()}),
+    "substitute-numpy": ("numpy",
+                         lambda: poly(F25, 3, BIG_B).substitute_linear(ROWS),
+                         lambda: _by_packed_key(_substitute_by_python(BIG_B))),
+    "substitute-python": ("python",
+                          lambda: poly(F25, 3, SMALL_B).substitute_linear(ROWS),
+                          None),
+}
+
+
+def build(name):
+    path, make, _ = BUILDERS[name]
+    if path is None:
+        return make().terms
+    with forced(path):
+        return make().terms
+
+
+@contextmanager
+def unshared():
+    """Unpack every column with plain tolist(), as before exponents were
+    shared."""
+    saved = algebra._SMALL_INT_MAX
+    algebra._SMALL_INT_MAX = 1 << 63
+    try:
+        yield
+    finally:
+        algebra._SMALL_INT_MAX = saved
+
+
+@pytest.mark.parametrize("name", BUILDERS)
+def test_builders_give_equal_exponents_one_object(name):
+    terms = build(name)
+    values = [e for exp in terms for e in exp]
+    assert len({id(v) for v in values}) == len(set(values))
+    # not vacuous: some exponent past 256 sits in more than one term
+    big = [v for v in values if v > algebra._SMALL_INT_MAX]
+    assert len(big) > len(set(big))
+
+
+@pytest.mark.parametrize("name", BUILDERS)
+def test_builders_keep_keys_raws_and_order(name):
+    got = build(name)
+    todays = BUILDERS[name][2]
+    if todays is None:
+        with unshared():
+            want = build(name)
+        values = [e for exp in want for e in exp]
+        assert len({id(v) for v in values}) > len(set(values))
+    else:
+        want = todays()
+    assert list(got.items()) == list(want.items())
+
+
+@pytest.fixture
+def shift_routes(monkeypatch):
+    """Names the route of each _shift_terms call: "numpy" when it builds
+    its dict through _term_dict."""
+    routes = []
+    real_shift, real_term_dict = algebra._shift_terms, algebra._term_dict
+
+    def shift(*args):
+        routes.append("python")
+        return real_shift(*args)
+
+    def term_dict(cols, raws):
+        routes[-1] = "numpy"
+        return real_term_dict(cols, raws)
+
+    monkeypatch.setattr(algebra, "_shift_terms", shift)
+    monkeypatch.setattr(algebra, "_term_dict", term_dict)
+    return routes
+
+
+@pytest.mark.parametrize("c", [1, 7], ids=["one", "other"])
+@pytest.mark.parametrize("size, top, exp, route", [
+    (algebra._NUMPY_MIN_PAIRS - 1, 900, (300, 0, 2), "python"),
+    (algebra._NUMPY_MIN_PAIRS, 900, (300, 0, 2), "numpy"),
+    # exponents past int64: no int64 array holds the terms
+    (algebra._NUMPY_MIN_PAIRS, 1 << 70, (300, 0, 2), "python"),
+    # the terms fit int64 and the monomial does; their sums reach int64's
+    # largest value, or pass it
+    (algebra._NUMPY_MIN_PAIRS, 1 << 62, ((1 << 62) - 1, 0, 2), "numpy"),
+    (algebra._NUMPY_MIN_PAIRS, 1 << 62, (1 << 62, 0, 2), "python"),
+], ids=["127", "128", "past-int64", "sum-at-int64-max", "sum-past-int64"])
+def test_shift_terms_matches_reference(shift_routes, c, size, top, exp, route):
+    terms = {(top - i, i % 3, 5 * i): 1 + i % 24 for i in range(size)}
+    got = poly(F25, 3, {exp: c}) * poly(F25, 3, terms)
+    want = reference_mul(F25, {exp: c}, terms)
+    assert list(got.terms.items()) == list(want.items())
+    assert shift_routes == [route]
