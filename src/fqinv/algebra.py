@@ -437,7 +437,7 @@ def _shared_ints(cols):
     theorem_basis(F25, "gl", 3) hold 376), so columns above 256 are
     unpacked through their distinct values."""
     # one column at a time: a (terms, n) array's tolist() costs more memory
-    if max((col.max() for col in cols if len(col)), default=0) <= _SMALL_INT_MAX:
+    if all(col.max(initial=0) <= _SMALL_INT_MAX for col in cols):
         return [col.tolist() for col in cols]
     same, out = {}.setdefault, []
     for col in cols:
