@@ -797,7 +797,7 @@ class TensorElement:
                     raise BadIndexTuple(f"bad exterior index tuple {ext}")
                 if not isinstance(poly, Polynomial):
                     raise TypeError("parts must map to Polynomial")
-                _check_same_tp(self, poly)
+                _check_same(self, poly)
                 if not poly.is_zero():
                     clean[ext] = poly
         self.parts = clean
@@ -985,13 +985,6 @@ class TensorElement:
         return pretty(self)
 
 
-def _check_same_tp(t, poly):
-    if t.field != poly.field:
-        raise FieldMismatch(f"{t.field} vs {poly.field}")
-    if t.n != poly.n:
-        raise ArityMismatch(f"{t.n} variables vs {poly.n}")
-
-
 def _add_part(parts, word, poly):
     """Add poly into parts[word] of an exterior-word dict, dropping the
     word when the sum is zero."""
@@ -1071,7 +1064,7 @@ def tensor_act(g, u: TensorElement) -> TensorElement:
     combination of dx_k with coefficients from g^{-1}, so the top
     exterior class picks up det(g^{-1}).
     """
-    _check_action(g, u)
+    _check_same(g, u)
     field, n = u.field, u.n
     rows = g.inverse_rows()
     packed = _tensor_parts(u)
@@ -1095,20 +1088,13 @@ def _is_fixed(gens, u: TensorElement) -> bool:
         return all(tensor_act(g, u) == u for g in gens)
     keys, raws = _pack_parts(u.n, *packed)
     for g in gens:
-        _check_action(g, u)
+        _check_same(g, u)
         image_keys, image_raws = _act_arrays(u.field, g.inverse_rows(), u.n,
                                              *packed)
         if not (np.array_equal(image_keys, keys)
                 and np.array_equal(image_raws, raws)):
             return False
     return True
-
-
-def _check_action(g, u):
-    if g.field != u.field:
-        raise FieldMismatch(f"{g.field} vs {u.field}")
-    if g.n != u.n:
-        raise ArityMismatch(f"{g.n} vs {u.n}")
 
 
 # An element on the numpy route is one pair of int64 arrays: each term's

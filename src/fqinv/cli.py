@@ -158,11 +158,10 @@ def _cmd_act(args):
     group = case_group(case)
     with open(args.input, encoding="utf-8") as fh:
         u = from_json(fh.read())
-    fld = case.field
-    if (u.field.p, u.field.e, u.field.modulus) != (fld.p, fld.e, fld.modulus):
+    if u.field != case.field:
         raise CaseFieldMismatch(
             f"input element lives over F_{u.field.q}, "
-            f"case {case.label} needs F_{fld.q}")
+            f"case {case.label} needs F_{case.field.q}")
     if u.n != case.n:
         raise CaseFieldMismatch(
             f"input element has {u.n} variables, case {case.label} has {case.n}")
@@ -289,10 +288,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else (0 if code is None else 2)
-    except FqinvError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (FqinvError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,16 +1,18 @@
-"""Dickson-type invariants and determinant bases built from the Q_j.
+"""Dickson-type invariants, orbit products and determinant bases.
 
-Everything here is derived from composites of the Milnor derivations on
-the top exterior class dx_1...dx_n:
+The top class and the determinant bases are composites of the Milnor
+derivations on the top exterior class dx_1...dx_n; the coefficient
+invariants and orbit products come from one additive polynomial:
 
   * dickson_e(n): the product of one linear form per line through the
     origin, obtained as Q_0...Q_{n-1}(dx_1...dx_n); the fundamental
     degree-(q^n - 1)/(q - 1) invariant.
-  * dickson_c(n, i): coefficient invariants, extracted by exact division
-    of the composite that skips Q_i.
   * f_poly(n): the monic additive polynomial whose roots are exactly the
-    F_q-span of x_1..x_n, with X encoded as an extra last variable.
-  * o_poly(n, i): the orbit product of x_i over the span of x_2..x_n.
+    F_q-span of x_1..x_n, with X encoded as an extra last variable; it is
+    sum_i (-1)^(n-i) c_{n,i} X^(q^i).
+  * dickson_c(n, i): coefficient invariants, read off f_poly(n).
+  * o_poly(n, i): the orbit product of x_i over the span of x_2..x_n,
+    which is f_poly(n - 1) evaluated at X = x_i.
   * mui_det / mui_bracket: determinant and shuffle-sum forms of the same
     classes, used to cross-check the operator route sign by sign.
 
@@ -26,7 +28,7 @@ from __future__ import annotations
 from functools import lru_cache, reduce
 from itertools import combinations, permutations, product
 
-from .algebra import Polynomial, TensorElement, _ints, _sort_sign, exact_divide
+from .algebra import Polynomial, TensorElement, _ints, _sort_sign
 from .errors import (
     ArityTooSmall,
     DegreeMismatch,
@@ -68,14 +70,16 @@ def dickson_e(field: FieldSpec, n: int) -> Polynomial:
     return poly
 
 
-@lru_cache(maxsize=None, typed=True)
 def dickson_c(field: FieldSpec, n: int, i: int) -> Polynomial:
+    """(-1)^(n-i) times the X^(q^i) coefficient of f_poly(n)."""
     n, i = _ints((n, i), "n and coefficient index")
     if not 0 <= i <= n:
         raise IndexOutOfRange(f"coefficient index {i} not in 0..{n}")
-    indices = tuple(j for j in range(n + 1) if j != i)
-    numer = milnor_composite(indices, top_form(field, n)).polynomial_part()
-    return exact_divide(numer, dickson_e(field, n))
+    top = field.q ** i
+    c = Polynomial._make(field, n, {
+        exp[:-1]: raw for exp, raw in f_poly(field, n).terms.items()
+        if exp[-1] == top})
+    return -c if (n - i) & 1 else c
 
 
 def _span_product(field, N, lead, span) -> Polynomial:
@@ -91,14 +95,16 @@ def _span_product(field, N, lead, span) -> Polynomial:
     return level[0]
 
 
+@lru_cache(maxsize=None, typed=True)   # a float misses the int's entry
 def f_poly(field: FieldSpec, n: int, method: str = "recursive") -> Polynomial:
     """Product of (X + v) over the q^n span vectors v, as a polynomial in
     n + 1 variables with X last.
 
-    The recursive method iterates span(x_1..x_k) = span(x_1..x_{k-1})
-    extended by x_k, one Frobenius and one scaled product per step.  The
-    brute product multiplies the q^n factors coset by coset; it is kept
-    as an independent oracle and refuses to run past q^n = 243 factors.
+    The recursive method starts from f_0 = X and extends the span by x_k
+    at each step: f_k = f_{k-1}^q - f_{k-1} * f_{k-1}(x_k)^(q-1), one
+    Frobenius and one scaled product per step.  The brute product
+    multiplies the q^n factors coset by coset; it is kept as an
+    independent oracle and refuses to run past q^n = 243 factors.
     """
     (n,) = _ints((n,), "n")
     if n < 1:
@@ -112,14 +118,9 @@ def f_poly(field: FieldSpec, n: int, method: str = "recursive") -> Polynomial:
         return _span_product(field, N, X, range(1, n + 1))
     if method != "recursive":
         raise UnknownMethod(f"unknown method {method!r}")
-    f = Polynomial.one(field, N)
-    for a in range(q):
-        form = Polynomial.variable(field, N, X)
-        if a:
-            form = form + Polynomial.variable(field, N, 1).scale_raw(a)
-        f = f * form
+    f = Polynomial.variable(field, N, X)
     ident = {i: i for i in range(1, N + 1)}
-    for k in range(2, n + 1):
+    for k in range(1, n + 1):
         at_xk = f.map_variables(N, {**ident, X: k})
         f = f.q_power() - f * (at_xk ** (q - 1))
     return f
@@ -142,7 +143,8 @@ def o_poly(field: FieldSpec, n: int, i: int, method: str = "product") -> Polynom
 
     For i >= 2 the product hits the factor x_i - x_i and collapses to 0.
     The product route multiplies the q^{n-1} factors coset by coset;
-    dickson_sum evaluates the additive expansion with Dickson weights.
+    dickson_sum evaluates f_poly(n - 1), whose coefficients are the
+    signed Dickson invariants of x_2..x_n, at X = x_i.
     """
     n, i = _ints((n, i), "n and variable index")
     if not 1 <= i <= n:
@@ -157,14 +159,7 @@ def o_poly(field: FieldSpec, n: int, i: int, method: str = "product") -> Polynom
     if n == 1:
         return Polynomial.variable(field, n, i)
     shift = {t: t + 1 for t in range(1, n)}
-    total = Polynomial.zero(field, n)
-    for j in range(n):
-        c = dickson_c(field, n - 1, j).map_variables(n, shift)
-        term = c * Polynomial.variable(field, n, i, q ** j)
-        if (n - 1 - j) & 1:
-            term = -term
-        total = total + term
-    return total
+    return f_poly(field, n - 1).map_variables(n, {**shift, n: i})
 
 
 def o_prev(field: FieldSpec, n: int, i: int) -> Polynomial:
@@ -226,6 +221,7 @@ def mui_bracket(field: FieldSpec, r: int, i_list, n: int) -> TensorElement:
 def mui_q(field: FieldSpec, I, n: int) -> TensorElement:
     """Q_I applied to the top exterior class dx_1...dx_n."""
     I = _ints(I, "operator index tuple")
+    (n,) = _ints((n,), "n")
     if any(not 0 <= i < n for i in I):
         raise IndexOutOfRange(f"index tuple {I} not inside 0..{n - 1}")
     return milnor_composite(I, top_form(field, n))

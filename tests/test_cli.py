@@ -152,6 +152,8 @@ def test_usage_errors_exit_two(capsys):
     ["verify", "--case", "sl(2,3)", "--max-degree", "-1"],
     # the witness refuses q^(n-1) = 729 factors before the solver runs
     ["verify", "--case", "parabolic(7,3)", "--max-degree", "0"],
+    # degree 7 passes the basis cap; refused before any degree is solved
+    ["verify", "--case", "sl(20,3)"],
     ["mui", "--n", "3", "--p", "3", "--I", "1,0"],
     ["mui", "--n", "3", "--p", "3", "--I", "0", "--det-form", "--r", "1"],
     ["order", "--case", "e7_4", "--bfs", "--cap", "-5"],

@@ -29,18 +29,28 @@ from fqinv import (
     wilkerson_phi,
 )
 from fqinv.errors import (
+    ArityTooSmall,
     IndexOutOfRange,
     NotAnInteger,
     ProductTooLarge,
     UnknownCase,
     UnknownMethod,
 )
+from fqinv.milnor import milnor_composite
 
 from conftest import ALL_FIELDS, F3, F5, F25
 
 
 def x(field, n, i, power=1):
     return Polynomial.variable(field, n, i, power)
+
+
+def reference_dickson_c(field, n, i):
+    """c_{n,i} by the Milnor route: the composite of Q_0..Q_n that skips
+    Q_i, applied to dx_1...dx_n and divided by e_n."""
+    indices = tuple(j for j in range(n + 1) if j != i)
+    numer = milnor_composite(indices, top_form(field, n)).polynomial_part()
+    return exact_divide(numer, dickson_e(field, n))
 
 
 def reference_span_product(field, N, lead, span):
@@ -119,6 +129,10 @@ def test_derivation_images_read_operator_indices_as_integers():
     for I in ((0.5,), (0, 1.0)):
         with pytest.raises(NotAnInteger):
             mui_q(F3, I, 2)
+    assert mui_q(F3, (0,), np.int64(2)) == mui_q(F3, (0,), 2)
+    for n in ("2", 2.0):
+        with pytest.raises(NotAnInteger):
+            mui_q(F3, (0,), n)
 
 
 @pytest.mark.parametrize("call, ints, plain, floats", [
@@ -162,6 +176,17 @@ def test_coefficient_classes_small():
     assert c21.is_homogeneous() and c21.degree() == 6
     with pytest.raises(IndexOutOfRange):
         dickson_c(F3, 2, 3)
+    with pytest.raises(ArityTooSmall):
+        dickson_c(F3, 0, 0)
+
+
+@pytest.mark.parametrize("field", ALL_FIELDS, ids=repr)
+def test_coefficient_classes_match_milnor_quotient(field):
+    max_n = {F3: 4, F5: 3}.get(field, 2)
+    for n in range(1, max_n + 1):
+        for i in range(n + 1):
+            assert dickson_c(field, n, i) == \
+                reference_dickson_c(field, n, i), (n, i)
 
 
 def test_additive_span_polynomial_routes_agree():

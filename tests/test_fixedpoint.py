@@ -42,7 +42,7 @@ from fqinv import (
     wilkerson_check,
     wilkerson_phi,
 )
-from fqinv import algebra, fixedpoint, groups
+from fqinv import algebra, dickson, fixedpoint, groups, milnor
 from fqinv.errors import (
     ArityMismatch,
     ArityTooSmall,
@@ -1081,6 +1081,45 @@ def test_orbit_product_routes_stay_independent(monkeypatch):
     assert methods == ["product", "dickson_sum"]
 
 
+def test_case_rows_read_dickson_coefficients_off_the_additive_form(
+        monkeypatch):
+    # no case row divides, and no c_{n,i} applies a Milnor composite: the
+    # coefficients and O(x1) come from f_poly
+    inside_c, c_calls, seen = [], [], []
+    real_c = dickson.dickson_c
+    real_composite = dickson.milnor_composite
+    real_divide = algebra.exact_divide
+
+    def c_spy(*args):
+        c_calls.append(args)
+        inside_c.append(args)
+        try:
+            return real_c(*args)
+        finally:
+            inside_c.pop()
+
+    def composite_spy(*args):
+        if inside_c:
+            seen.append(("milnor_composite", inside_c[-1]))
+        return real_composite(*args)
+
+    def divide_spy(*args):
+        seen.append(("exact_divide", inside_c[-1:]))
+        return real_divide(*args)
+
+    for module in (dickson, fixedpoint):
+        monkeypatch.setattr(module, "dickson_c", c_spy)
+        monkeypatch.setattr(module, "milnor_composite", composite_spy)
+    for module in (algebra, milnor):
+        monkeypatch.setattr(module, "exact_divide", divide_spy)
+    for kind, row in fixedpoint._KINDS.items():
+        label = kind if row.q is not None else f"{kind}(3,3)"
+        dickson.f_poly.cache_clear()
+        fixedpoint._case_elements_cached.__wrapped__(label)
+    assert seen == []
+    assert {args[1:] for args in c_calls} >= {(3, 0), (3, 1), (3, 2)}
+
+
 def test_degree_product_of_widest_case():
     rep = wilkerson_check("e8_5a")
     assert rep.half_degrees == (2, 13, 18, 24, 162)
@@ -1148,6 +1187,20 @@ def test_verify_module_refuses_an_infeasible_witness_first(monkeypatch):
                             lambda *args, _name=name: calls.append(_name))
     with pytest.raises(ProductTooLarge):
         verify_module("parabolic(7,3)", 0)
+    assert calls == []
+
+
+def test_verify_module_refuses_an_infeasible_degree_first(monkeypatch):
+    # sl(20,3) at its default cap: degree 7 has 657 800 basis elements; the
+    # refusal comes before the module description lists 2^20 degrees
+    calls = []
+    for name in ("module_description", "fixed_dim", "case_elements"):
+        monkeypatch.setattr(fixedpoint, name,
+                            lambda *args, _name=name: calls.append(_name))
+    with pytest.raises(FeasibilityCapExceeded,
+                       match="^degree 7 basis has 657800 elements, "
+                             "cap is 200000$"):
+        verify_module("sl(20,3)")
     assert calls == []
 
 

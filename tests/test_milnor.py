@@ -49,6 +49,10 @@ def test_composite_reads_operator_indices_as_integers():
             milnor_composite(I, dx(F3, 2, 1, 2))
         with pytest.raises(NotAnInteger):
             sign(I, ())
+    assert milnor_q(np.int64(1), dx(F3, 2, 1)) == milnor_q(1, dx(F3, 2, 1))
+    for j in (1.0, "1", None):
+        with pytest.raises(NotAnInteger, match="operator index"):
+            milnor_q(j, dx(F3, 2, 1))
 
 
 def test_polynomial_coefficients_pass_through(rng):
