@@ -1104,7 +1104,7 @@ def test_case_rows_read_dickson_coefficients_off_the_additive_form(
         return real_composite(*args)
 
     def divide_spy(*args):
-        seen.append(("exact_divide", inside_c[-1:]))
+        seen.append("exact_divide")
         return real_divide(*args)
 
     for module in (dickson, fixedpoint):
