@@ -18,7 +18,7 @@ import json
 from bisect import bisect_left
 from itertools import chain
 from math import factorial
-from operator import index, mul
+from operator import index, itemgetter, mul
 
 import numpy as np
 
@@ -1167,13 +1167,25 @@ def _tensor_of_arrays(field, n, width, keys, raws):
 
 # -- canonical JSON -----------------------------------------------------
 
-def to_json_dict(u: TensorElement) -> dict:
+def _descending(terms):
+    """The exponents of a term dict by descending degree, then descending
+    lex: the canonical order of terms inside one exterior word."""
+    return sorted(terms, key=_grlex_key, reverse=True)
+
+
+def _canonical_parts(u):
+    """(word, terms, exponents) for each nonzero part of u: words
+    ascending, exponents by _descending.  As no (word, exponents) pair
+    repeats, this is the order of sorting every term of u by (word,
+    -degree, -exponents)."""
+    for word in sorted(u.parts):
+        terms = u.parts[word].terms
+        if terms:
+            yield word, terms, _descending(terms)
+
+
+def _json_head(u):
     field = u.field
-    flat = []
-    for ext, poly in u.parts.items():
-        for exp, c in poly.terms.items():
-            flat.append((ext, exp, c))
-    flat.sort(key=lambda t: (t[0], -sum(t[1]), tuple(-e for e in t[1])))
     return {
         "field": {
             "p": field.p,
@@ -1181,67 +1193,112 @@ def to_json_dict(u: TensorElement) -> dict:
             "modulus": list(field.modulus) if field.modulus else None,
         },
         "n": u.n,
-        "terms": [
-            {"c": list(field.coeffs(c)), "exp": list(exp), "ext": list(ext)}
-            for ext, exp, c in flat
-        ],
     }
 
 
+def to_json_dict(u: TensorElement) -> dict:
+    coeffs = u.field.coeffs
+    return {**_json_head(u), "terms": [
+        {"c": list(coeffs(terms[exp])), "exp": list(exp), "ext": list(word)}
+        for word, terms, exps in _canonical_parts(u) for exp in exps
+    ]}
+
+
 def to_json(u: TensorElement) -> str:
-    return json.dumps(to_json_dict(u), separators=(",", ":"))
+    """The text of json.dumps(to_json_dict(u), separators=(",", ":")),
+    written part by part from one %-template per (word, coefficient), so
+    no object is built per term and memory follows the text's length."""
+    field = u.field
+    head = json.dumps(_json_head(u), separators=(",", ":"))
+    coeff_text = [",".join(map(str, field.coeffs(raw))) for raw in range(field.q)]
+    exp_text = ",".join(["%d"] * u.n)
+    chunks = []
+    for word, terms, exps in _canonical_parts(u):
+        tail = f'],"ext":[{",".join(map(str, word))}]}}'
+        template = {raw: f'{{"c":[{coeff_text[raw]}],"exp":[{exp_text}{tail}'
+                    for raw in set(terms.values())}
+        chunks.append(",".join([template[terms[exp]] % exp for exp in exps]))
+    return f'{head[:-1]},"terms":[{",".join(chunks)}]}}'
 
 
-def from_json_dict(data) -> TensorElement:
+def _decode_object(pairs):
+    """object_pairs_hook of from_json: a term object whose keys are c, exp
+    and ext in that order, each holding a list, becomes a (c, exp, ext)
+    tuple of tuples; any other object becomes the dict json.loads builds."""
+    if len(pairs) == 3:
+        (kc, c), (ke, exp), (kx, ext) = pairs
+        if (kc == "c" and ke == "exp" and kx == "ext"
+                and type(c) is type(exp) is type(ext) is list):
+            return tuple(c), tuple(exp), tuple(ext)
+    return dict(pairs)
+
+
+def _require_ints(values, what):
+    """ValueError unless every value is an exact int: a JSON float, string
+    or boolean is no integer, even where it equals one."""
+    wrong = set(map(type, values)) - {int}
+    if wrong:
+        names = ", ".join(sorted(t.__name__ for t in wrong))
+        raise ValueError(f"{what} holds a non-integer ({names})")
+
+
+def _read_element(data, decoded):
+    """The element a parsed JSON document describes.  Terms are mappings
+    with keys c, exp and ext.  Where decoded is set, a tuple in the terms
+    array is the (c, exp, ext) that _decode_object made: in a JSON array,
+    only that hook makes tuples.  SerializationError for any malformed
+    document."""
     try:
         fd = data["field"]
-        field = make_field(fd["p"], fd["e"], fd.get("modulus"))
+        p, e, modulus = fd["p"], fd["e"], fd.get("modulus")
+        _require_ints((p, e), "field")
+        if modulus is not None:
+            _require_ints(modulus, "modulus")
+        field = make_field(p, e, modulus)
         n = data["n"]
         if type(n) is not int or n < 0:
             raise ValueError(f"bad variable count {n!r}")
         terms = data["terms"]
-        coeffs = [term["c"] for term in terms]
-        exps = [term["exp"] for term in terms]
-        exts = [term["ext"] for term in terms]
-        # bool is an int subclass and 1.0 == 1, so each value's type is
-        # checked before any list is used as a dict key
-        for value in chain.from_iterable(chain(coeffs, exps, exts)):
-            if type(value) is not int:
-                raise ValueError(f"{value!r} is not an integer")
+        decoded = decoded and type(terms) is list
+        terms = [term if decoded and type(term) is tuple
+                 else (tuple(term["c"]), tuple(term["exp"]), tuple(term["ext"]))
+                 for term in terms]
+        # bool is an int subclass and 1.0 == 1, so every value's type is
+        # checked before any tuple is used as a dict key
+        _require_ints(chain.from_iterable(chain.from_iterable(terms)), "term")
+        exp_of = itemgetter(1)
+        if set(map(len, map(exp_of, terms))) - {n}:
+            raise ValueError(f"exponent tuple needs length {n}")
+        if min(chain.from_iterable(map(exp_of, terms)), default=0) < 0:
+            raise ValueError("negative exponent")
+        # each distinct coefficient is checked and converted, and each
+        # distinct exterior word checked, once
+        coeffs = set(map(itemgetter(0), terms))
         if any(len(c) != field.e for c in coeffs):
             raise ValueError(f"coefficient needs {field.e} coordinates")
-        if any(len(exp) != n for exp in exps):
-            raise ValueError(f"exponent tuple needs length {n}")
-        # each distinct exterior word is checked, and each distinct
-        # coefficient converted, once
-        words, raws, parts = set(), {}, {}
-        for ext, exp, c in zip(exts, exps, coeffs):
-            ext = tuple(ext)
-            if ext not in words:
-                if any(not 1 <= j <= n for j in ext) or list(ext) != sorted(set(ext)):
-                    raise ValueError(f"bad exterior index tuple {ext}")
-                words.add(ext)
-            c = tuple(c)
-            raw = raws.get(c)
-            if raw is None:
-                raw = raws[c] = field.element(c).raw
-            poly_terms = parts.setdefault(ext, {})
-            key = tuple(exp)
-            if min(key, default=0) < 0:
-                raise ValueError(f"bad exponent tuple {key}")
-            if key in poly_terms:
-                raise ValueError(f"duplicate term {key} in {ext}")
-            poly_terms[key] = raw
+        raws = {c: field.element(c).raw for c in coeffs}
+        for ext in set(map(itemgetter(2), terms)):
+            if any(not 1 <= j <= n for j in ext) or list(ext) != sorted(set(ext)):
+                raise ValueError(f"bad exterior index tuple {ext}")
+        # the decoded exponent and word tuples become the element's keys
+        parts = {}
+        for c, exp, ext in terms:
+            poly_terms = parts.get(ext)
+            if poly_terms is None:
+                poly_terms = parts[ext] = {}
+            if exp in poly_terms:
+                raise ValueError(f"duplicate term {exp} in {ext}")
+            poly_terms[exp] = raws[c]
         # zero terms are checked like any other, then left out
         if 0 in raws.values():
-            parts = {ext: kept for ext, terms in parts.items()
-                     if (kept := {k: v for k, v in terms.items() if v})}
+            parts = {ext: kept for ext, poly_terms in parts.items()
+                     if (kept := {k: v for k, v in poly_terms.items() if v})}
         # values are already canonical raws, so bypass the coercing
         # constructor (it would fold them into the prime subfield)
         return TensorElement._make(
             field, n,
-            {ext: Polynomial._make(field, n, terms)
-             for ext, terms in parts.items()},
+            {ext: Polynomial._make(field, n, poly_terms)
+             for ext, poly_terms in parts.items()},
         )
     except SerializationError:
         raise
@@ -1249,12 +1306,19 @@ def from_json_dict(data) -> TensorElement:
         raise SerializationError(f"malformed element: {exc}") from exc
 
 
+def from_json_dict(data) -> TensorElement:
+    return _read_element(data, decoded=False)
+
+
 def from_json(text: str) -> TensorElement:
+    """from_json_dict(json.loads(text)), with each canonical term object
+    decoded straight into tuples (_decode_object).  Invalid JSON, and
+    nesting too deep for the decoder, raise SerializationError."""
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
+        data = json.loads(text, object_pairs_hook=_decode_object)
+    except (ValueError, RecursionError) as exc:
         raise SerializationError(f"invalid JSON: {exc}") from exc
-    return from_json_dict(data)
+    return _read_element(data, decoded=True)
 
 
 # -- rendering ----------------------------------------------------------
@@ -1278,10 +1342,9 @@ def pretty_polynomial(poly: Polynomial, var: str = "x") -> str:
     if poly.is_zero():
         return "0"
     field = poly.field
-    items = sorted(poly.terms.items(),
-                   key=lambda t: (-sum(t[0]), tuple(-e for e in t[0])))
     rendered = []
-    for exp, c in items:
+    for exp in _descending(poly.terms):
+        c = poly.terms[exp]
         factors = []
         for i, e in enumerate(exp):
             if e == 1:

@@ -14,7 +14,7 @@ import sys
 
 from .algebra import TensorElement, from_json, pretty, pretty_polynomial, to_json
 from .dickson import dickson_c, dickson_e, mui_bracket, mui_q, o_poly
-from .errors import CaseFieldMismatch, FqinvError, IndexOutOfRange
+from .errors import CaseFieldMismatch, FqinvError, IndexOutOfRange, SerializationError
 from .field import make_field
 from .fixedpoint import _KINDS, case_group, fixed_dim, parse_case, verify_module
 from .groups import act, group_order_bfs
@@ -157,7 +157,11 @@ def _cmd_act(args):
     case = parse_case(args.case)
     group = case_group(case)
     with open(args.input, encoding="utf-8") as fh:
-        u = from_json(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise SerializationError(f"{args.input} is not UTF-8: {exc}") from exc
+    u = from_json(text)
     if u.field != case.field:
         raise CaseFieldMismatch(
             f"input element lives over F_{u.field.q}, "

@@ -28,6 +28,8 @@ having no root in F_p, which make_field checks exhaustively.
 
 from __future__ import annotations
 
+from operator import index
+
 import numpy as np
 
 from .errors import (
@@ -38,6 +40,7 @@ from .errors import (
     FieldTooLarge,
     InvalidFieldSpec,
     MissingModulus,
+    NotAnInteger,
     NotPrime,
     ReducibleModulus,
 )
@@ -63,7 +66,9 @@ def make_field(p: int, e: int = 1, modulus=None) -> "FieldSpec":
     """Construct (or fetch the cached) field F_{p^e}.
 
     modulus: coefficient list [c_0, ..., c_e] of a monic irreducible
-    polynomial over F_p, required exactly when e > 1.
+    polynomial over F_p, required exactly when e > 1.  Its entries are
+    read as integers: numpy integers pass, a float or a string raises
+    NotAnInteger.
     """
     if not isinstance(p, int) or not isinstance(e, int):
         raise InvalidFieldSpec("p and e must be ints")
@@ -82,7 +87,11 @@ def make_field(p: int, e: int = 1, modulus=None) -> "FieldSpec":
     else:
         if modulus is None:
             raise MissingModulus(f"degree-{e} extension needs a modulus")
-        mod = tuple(int(c) % p for c in modulus)
+        mod = tuple(modulus)
+        try:
+            mod = tuple(index(c) % p for c in mod)
+        except TypeError:
+            raise NotAnInteger(f"modulus {mod} holds a non-integer") from None
         if len(mod) != e + 1:
             raise InvalidFieldSpec(f"modulus must have degree {e}")
         if mod[-1] != 1:

@@ -1,6 +1,8 @@
 """Polynomial and tensor algebra: arithmetic, grading, actions, JSON."""
 
 import json
+import tracemalloc
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -9,13 +11,19 @@ from fqinv import (
     GroupMatrix,
     Polynomial,
     TensorElement,
+    case_elements,
     diagonal,
     exact_divide,
     from_json,
+    from_json_dict,
+    milnor_composite,
+    o_poly,
     pretty,
     pretty_polynomial,
     tensor_act,
     to_json,
+    to_json_dict,
+    top_form,
     wedge,
 )
 from fqinv.errors import (
@@ -34,7 +42,14 @@ from fqinv.errors import (
     SerializationError,
 )
 
-from conftest import F3, F9, random_invertible, random_polynomial, random_tensor
+from conftest import (
+    ALL_FIELDS,
+    F3,
+    F9,
+    random_invertible,
+    random_polynomial,
+    random_tensor,
+)
 
 
 def x(field, n, i, power=1):
@@ -441,14 +456,24 @@ def test_json_rejects_malformed_input():
     ("exp", [1.7, 0]), ("exp", [1.0, 0]), ("exp", ["1", 0]), ("exp", [True, 0]),
     ("ext", [1.9]), ("ext", [1.0]), ("ext", ["1"]), ("ext", [True]),
     ("n", True), ("n", 2.0), ("n", "2"),
+    ("p", 3.0), ("p", "3"), ("p", True),
+    ("e", 2.0), ("e", "2"), ("e", True),
+    ("modulus", [1.0, 0, 1]), ("modulus", ["1", 0, 1]),
+    ("modulus", [True, False, True]), ("modulus", [1, 0, 1.5]),
 ])
 def test_json_rejects_non_integer_values(key, value):
     # a JSON float, string or boolean is no integer, even where it
     # equals one
-    data = json.loads(GOLDEN_JSON)
+    if key in ("p", "e", "modulus"):
+        u = TensorElement(F9, 2, {(1,): x(F9, 2, 2).scale_raw(5)})
+        data = json.loads(to_json(u))
+        assert from_json(json.dumps(data)) == u
+        data["field"][key] = value
+    else:
+        data = json.loads(GOLDEN_JSON)
     if key == "n":
         data["n"] = value
-    else:
+    elif key in ("c", "exp", "ext"):
         data["terms"][1][key] = value
     with pytest.raises(SerializationError):
         from_json(json.dumps(data))
@@ -481,6 +506,125 @@ def test_json_leaves_out_valid_zero_terms():
     assert u == TensorElement.from_polynomial(x(F3, 2, 1))
     assert list(u.parts) == [()]
     assert to_json(u) == _element(X1_TERM)
+
+
+def test_json_reads_the_extension_degree_as_an_integer():
+    # "e": true equals 1, so without the exact-int rule it names F3
+    data = json.loads(GOLDEN_JSON)
+    data["field"]["e"] = True
+    with pytest.raises(SerializationError):
+        from_json(json.dumps(data))
+
+
+def _random_json_elements(rng):
+    """Random elements over every conftest field, the zero element and an
+    element with only the empty word."""
+    for field in ALL_FIELDS:
+        for _ in range(20):
+            yield random_tensor(rng, field, 3, max_terms=8)
+        yield TensorElement.zero(field, 2)
+        yield TensorElement.from_polynomial(random_polynomial(rng, field, 2) + 1)
+
+
+def _e8_5a_elements():
+    ring, basis = case_elements("e8_5a")
+    return [el for _, el in ring + basis]
+
+
+def test_to_json_is_the_dump_of_to_json_dict(rng):
+    for u in chain(_random_json_elements(rng), _e8_5a_elements()):
+        assert to_json(u) == json.dumps(to_json_dict(u), separators=(",", ":"))
+
+
+def _same_element(u, v):
+    assert u == v
+    assert list(u.parts) == list(v.parts)
+    for word, poly in u.parts.items():
+        assert list(poly.terms.items()) == list(v.parts[word].terms.items())
+
+
+def test_from_json_reads_as_from_json_dict(rng):
+    texts = []
+    for u in _random_json_elements(rng):
+        # a shuffled term list makes the order of the parts and of the
+        # terms in each part differ from the canonical one
+        data = json.loads(to_json(u))
+        rng.shuffle(data["terms"])
+        texts.append((u, json.dumps(data)))
+    texts += [(u, to_json(u)) for u in _e8_5a_elements()]
+    for u, text in texts:
+        got = from_json(text)
+        _same_element(got, from_json_dict(json.loads(text)))
+        assert got == u
+
+
+def test_json_reads_term_objects_in_any_key_order():
+    data = json.loads(to_json(TensorElement(F9, 2, {
+        (): x(F9, 2, 1).scale_raw(5) + x(F9, 2, 2),
+        (1, 2): x(F9, 2, 1, 3),
+    })))
+    want = from_json_dict(data)
+    terms = data["terms"]
+    terms[0] = {"ext": terms[0]["ext"], "c": terms[0]["c"], "exp": terms[0]["exp"]}
+    terms[1] = {**terms[1], "note": "kept out"}
+    terms[2] = {"exp": terms[2]["exp"], "ext": terms[2]["ext"], "c": terms[2]["c"]}
+    text = json.dumps(data)
+    _same_element(from_json(text), want)
+    _same_element(from_json_dict(json.loads(text)), want)
+
+
+@pytest.mark.parametrize("where", ["top", "field", "terms", "terms of terms"])
+def test_json_rejects_documents_shaped_like_a_term(where):
+    term = {"c": [1], "exp": [1, 0], "ext": []}
+    data = json.loads(GOLDEN_JSON)
+    if where == "top":
+        data = term
+    elif where == "field":
+        data["field"] = {"c": [3], "exp": [1], "ext": []}
+    elif where == "terms":
+        data["terms"] = {"c": [], "exp": [], "ext": []}
+    else:
+        # each member of the terms object a list of three term objects
+        data["terms"] = {key: [term] * 3 for key in ("c", "exp", "ext")}
+    with pytest.raises(SerializationError):
+        from_json(json.dumps(data))
+    with pytest.raises(SerializationError):
+        from_json_dict(json.loads(json.dumps(data)))
+
+
+def test_json_maps_decoder_failures_to_serialization_error():
+    with pytest.raises(SerializationError):
+        from_json("[" * 100000)
+    with pytest.raises(SerializationError):
+        from_json('{"field":' * 100000)
+
+
+def _traced_peak(fn, *args):
+    """fn(*args) and the peak of memory traced while it ran."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    base = tracemalloc.get_traced_memory()[0]
+    try:
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+def test_json_memory_follows_the_text():
+    # x5*O(x1)*Q_{1,2}(dx1..dx5) over F3: 22 228 terms, about 1 MB of
+    # text.  A dict and three lists per term took 13.8x the text's
+    # length in each direction.
+    orbit = Polynomial.variable(F3, 5, 5) * o_poly(F3, 5, 1)
+    u = orbit * milnor_composite((1, 2), top_form(F3, 5))
+    text, written = _traced_peak(to_json, u)
+    assert written <= 6 * len(text)
+    v, read = _traced_peak(from_json, text)
+    assert read <= 9 * len(text)
+    assert v == u
 
 
 def test_pretty_rendering():

@@ -123,6 +123,19 @@ def test_act_rejects_non_integer_values(tmp_path, capsys, key, value):
     assert code == 2 and out == "" and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("content", [b"[" * 100000, b"\xff\xfe{}"],
+                         ids=["nested-too-deep", "not-utf8"])
+def test_act_rejects_undecodable_input(tmp_path, capsys, content):
+    src = tmp_path / "in.json"
+    src.write_bytes(content)
+    code, out, err = run(capsys, "act", "--case", "e7_4",
+                         "--input", str(src), "--generator", "0")
+    # a RecursionError or UnicodeDecodeError would escape main() with a
+    # traceback and exit 1, the mismatch code
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_act_rejects_bad_generator_index(tmp_path, capsys):
     src = tmp_path / "in.json"
     src.write_text(to_json(TensorElement.dx(F3, 2, (1,))), encoding="utf-8")

@@ -1,5 +1,6 @@
 """Field construction and arithmetic."""
 
+import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
@@ -11,6 +12,7 @@ from fqinv.errors import (
     EvenCharacteristic,
     FieldTooLarge,
     MissingModulus,
+    NotAnInteger,
     NotPrime,
     ReducibleModulus,
 )
@@ -35,6 +37,19 @@ def test_make_field_rejects_bad_parameters():
         make_field(3, 2)
     with pytest.raises(ReducibleModulus):
         make_field(3, 2, [2, 0, 1])  # t^2 + 2 = (t+1)(t+2)
+
+
+@pytest.mark.parametrize("modulus", [
+    [1.5, 0, 1], [1.0, 0, 1], ["1", 0, 1], [1, 0, "1"], [1, None, 1]])
+def test_make_field_reads_modulus_entries_as_integers(modulus):
+    # int() would truncate 1.5 to 1 and give F9
+    with pytest.raises(NotAnInteger):
+        make_field(3, 2, modulus)
+
+
+def test_make_field_accepts_numpy_integer_modulus():
+    assert make_field(3, 2, np.array([1, 0, 1])) is F9
+    assert make_field(3, 2, [np.int64(4), np.int8(0), np.uint16(1)]) is F9
 
 
 def test_make_field_caches_instances():
