@@ -6,7 +6,9 @@ degree 1.  A Polynomial stores a dict mapping exponent tuples (length n)
 to nonzero raw field values; a TensorElement stores a dict mapping
 strictly increasing tuples of 1-based exterior indices to nonzero
 Polynomials.  Products of exterior generators are kept in ascending
-normal form, with the Koszul sign paid at multiplication time.
+normal form, with the Koszul sign paid at multiplication time.  A
+Polynomial that a numpy kernel returns holds its terms as that kernel's
+int64 arrays until its term dict is first read (_packed).
 
 The monomial order used throughout (leading terms, division, canonical
 output) is graded lex with x_1 > x_2 > ... > x_n.
@@ -53,12 +55,14 @@ def _check_same(a, b):
 class Polynomial:
     """Element of F_q[x_1..x_n], sparse, coefficients as raw ints."""
 
-    __slots__ = ("field", "n", "terms")
+    # `terms` stays unset while `_arrays` holds (exps, raws); see _packed
+    __slots__ = ("field", "n", "terms", "_arrays")
 
     def __init__(self, field: FieldSpec, n: int, terms=None):
         n = _arity(n)
         self.field = field
         self.n = n
+        self._arrays = None
         clean = {}
         if terms:
             for exp, c in terms.items():
@@ -80,7 +84,33 @@ class Polynomial:
         self.field = field
         self.n = n
         self.terms = terms
+        self._arrays = None
         return self
+
+    @classmethod
+    def _packed(cls, field, n, exps, raws):
+        # internal: the terms as int64 arrays, exps (terms, n) and raws, in
+        # term order with distinct exponents and nonzero raws; no one
+        # writes them, so results may share them.  A packed Polynomial
+        # reads its total degrees as int64 row sums, so terms whose degrees
+        # could pass int64 build their dict at once.
+        self = object.__new__(cls)
+        self.field = field
+        self.n = n
+        self._arrays = (exps, raws)
+        if len(raws) and sum(exps.max(axis=0).tolist()) > _INT64_MAX:
+            self.__getattr__("terms")
+        return self
+
+    def __getattr__(self, name):
+        # reached only while the `terms` slot is unset: build the term dict
+        # from the arrays of _packed, once
+        if name != "terms":
+            raise AttributeError(name)
+        exps, raws = self._arrays
+        self.terms = terms = _term_dict(exps.T, raws.tolist())
+        self._arrays = None
+        return terms
 
     @classmethod
     def zero(cls, field, n):
@@ -129,10 +159,7 @@ class Polynomial:
     __radd__ = __add__
 
     def __neg__(self):
-        fneg = self.field.neg
-        return Polynomial._make(
-            self.field, self.n, {exp: fneg(c) for exp, c in self.terms.items()}
-        )
+        return self.scale_raw(self.field.neg(self.field.one))
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, Polynomial) else -(
@@ -147,8 +174,7 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         _check_same(self, other)
-        return Polynomial._make(
-            self.field, self.n, _mul_terms(self.field, self.terms, other.terms))
+        return _mul_terms(self.field, self, other)
 
     __rmul__ = __mul__
 
@@ -161,6 +187,10 @@ class Polynomial:
             return Polynomial._make(self.field, self.n, {})
         if raw == self.field.one:
             return self
+        if self._arrays is not None:
+            exps, raws = self._arrays
+            return Polynomial._packed(self.field, self.n, exps,
+                                      self.field.product_array[raws, raw])
         fmul = self.field.mul
         return Polynomial._make(
             self.field, self.n, {e: fmul(c, raw) for e, c in self.terms.items()}
@@ -182,30 +212,31 @@ class Polynomial:
 
     def q_power(self):
         """Frobenius: f -> f^q, exponents scale by q, coefficients fixed."""
-        q, terms = self.field.q, self.terms
-        exps = _exp_array(terms) if terms else None
-        if exps is not None and int(exps.max(initial=0)) * q <= _INT64_MAX:
-            return Polynomial._make(self.field, self.n, _term_dict(
-                (exps * q).T, list(terms.values())))
+        q = self.field.q
+        packed = None if self.is_zero() else _arrays_of(self)
+        if packed is not None and int(packed[0].max(initial=0)) * q <= _INT64_MAX:
+            return Polynomial._packed(self.field, self.n, packed[0] * q,
+                                      packed[1])
         return Polynomial._make(
             self.field, self.n,
-            {tuple(e * q for e in exp): c for exp, c in terms.items()},
+            {tuple(e * q for e in exp): c for exp, c in self.terms.items()},
         )
 
     # -- structure -----------------------------------------------------
 
     def is_zero(self):
-        return not self.terms
+        return not _count(self)
 
     def degree(self):
         """Total polynomial degree; -1 for the zero polynomial."""
-        if not self.terms:
+        if self.is_zero():
             return -1
+        if self._arrays is not None:
+            return int(self._arrays[0].sum(axis=1).max())
         return max(sum(e) for e in self.terms)
 
     def is_homogeneous(self):
-        degs = {sum(e) for e in self.terms}
-        return len(degs) <= 1
+        return len(set(_first_degrees(self))) <= 1
 
     def leading(self):
         """(exponent, coefficient) largest in graded lex; None if zero."""
@@ -236,9 +267,8 @@ class Polynomial:
         """Replace x_i by sum_j rows[i-1][j-1] * x_j.  rows need not be
         invertible (projections are fine).  Entries are FieldElements or
         raw field values, as GroupMatrix.inverse_rows() gives them."""
-        field, n = self.field, self.n
-        return Polynomial._make(field, n, _substitute_terms(
-            field, _raw_rows(field, n, rows), self.terms))
+        return _substitute_terms(self.field, _raw_rows(self.field, self.n, rows),
+                                 self)
 
     def project(self, i: int):
         """Set x_i = 0, keeping the variable count."""
@@ -372,25 +402,26 @@ def _unpack(out, shifts, masks):
     return dict(zip(zip(*cols) if cols else [()] * len(raws), raws))
 
 
-def _shift_terms(field, exp, c, terms):
-    """terms times the monomial c*x^exp; distinct exponents stay distinct,
+def _shift_terms(field, exp, c, poly):
+    """poly times the monomial c*x^exp; distinct exponents stay distinct,
     so nothing needs adding."""
-    if len(terms) >= _NUMPY_MIN_PAIRS:
-        exps = _exp_array(terms)
-        if exps is not None and all(
-                t + e <= _INT64_MAX
-                for t, e in zip(exps.max(axis=0).tolist(), exp)):
-            raws = np.fromiter(terms.values(), np.int64, len(terms))
-            if c != field.one:
-                raws = field.product_array[raws, c]
-            return _term_dict((exps + np.array(exp, dtype=np.int64)).T,
-                              raws.tolist())
+    packed = _arrays_of(poly) if _count(poly) >= _NUMPY_MIN_PAIRS else None
+    if packed is not None and all(
+            t + e <= _INT64_MAX
+            for t, e in zip(packed[0].max(axis=0).tolist(), exp)):
+        exps, raws = packed
+        if c != field.one:
+            raws = field.product_array[raws, c]
+        return Polynomial._packed(field, poly.n,
+                                  exps + np.array(exp, dtype=np.int64), raws)
     if c == field.one:
-        return {tuple(x + y for x, y in zip(e, exp)): v
-                for e, v in terms.items()}
-    fmul = field.mul
-    return {tuple(x + y for x, y in zip(e, exp)): fmul(v, c)
-            for e, v in terms.items()}
+        terms = {tuple(x + y for x, y in zip(e, exp)): v
+                 for e, v in poly.terms.items()}
+    else:
+        fmul = field.mul
+        terms = {tuple(x + y for x, y in zip(e, exp)): fmul(v, c)
+                 for e, v in poly.terms.items()}
+    return Polynomial._make(field, poly.n, terms)
 
 
 def _accumulate(field, pieces):
@@ -416,10 +447,43 @@ def _accumulate(field, pieces):
     return run_k, run_v
 
 
-def _unpack_arrays(keys, raws, shifts, masks):
-    """Term dict of packed keys and raws given as int64 arrays."""
-    return _term_dict(((keys >> s) & m for s, m in zip(shifts, masks)),
-                      raws.tolist())
+def _key_exps(keys, shifts, masks):
+    """The (terms, n) exponent array of packed int64 keys."""
+    exps = keys[:, None] >> np.array(shifts, dtype=np.int64)
+    exps &= np.array(masks, dtype=np.int64)
+    return exps
+
+
+def _count(poly):
+    """Number of terms of a Polynomial, packed or not."""
+    packed = poly._arrays
+    return len(packed[1]) if packed is not None else len(poly.terms)
+
+
+def _arrays_of(poly):
+    """(exps, raws) of a nonzero Polynomial as _packed holds them, read off
+    its term dict if it has one; None when an exponent passes int64."""
+    if poly._arrays is not None:
+        return poly._arrays
+    terms = poly.terms
+    size, n = len(terms), poly.n
+    try:
+        exps = np.fromiter(chain.from_iterable(terms), np.int64, size * n)
+    except OverflowError:
+        return None
+    return (exps.reshape(size, n),
+            np.fromiter(terms.values(), np.int64, size))
+
+
+def _first_degrees(poly):
+    """Total degrees of poly's terms in term order, as many as telling
+    whether it is homogeneous needs: of a packed Polynomial the first one
+    and the first other one."""
+    if poly._arrays is None:
+        return map(sum, poly.terms)
+    degrees = poly._arrays[0].sum(axis=1)
+    return (degrees[:1].tolist()
+            + degrees[degrees != degrees[:1]][:1].tolist())
 
 
 def _term_dict(cols, raws):
@@ -459,23 +523,11 @@ def _layout(max_a, max_b):
     return shifts, masks, bits
 
 
-def _exp_array(terms):
-    """The exponents as a (terms, n) int64 array; None if one is too
-    large for int64."""
-    n = len(next(iter(terms)))
-    try:
-        flat = np.fromiter(chain.from_iterable(terms), np.int64, len(terms) * n)
-    except OverflowError:
-        return None
-    return flat.reshape(len(terms), n)
-
-
-def _mul_pieces(field, weights, a, exps_a, b, exps_b):
-    """The outer sums of two term dicts' packed keys and their coefficient
-    products, at most _CHUNK_PAIRS pairs at a time."""
+def _mul_pieces(field, weights, exps_a, ca, exps_b, cb):
+    """The outer sums of the packed keys of two factors' exponent arrays,
+    and the products of their raws, at most _CHUNK_PAIRS pairs at a
+    time."""
     ka, kb = exps_a @ weights, exps_b @ weights
-    ca = np.fromiter(a.values(), np.int64, len(a))
-    cb = np.fromiter(b.values(), np.int64, len(b))
     table = field.product_array
     step_b = min(len(kb), _CHUNK_PAIRS)
     step_a = _CHUNK_PAIRS // step_b
@@ -486,13 +538,13 @@ def _mul_pieces(field, weights, a, exps_a, b, exps_b):
             yield keys.ravel(), raws.ravel()
 
 
-def _mul_numpy(field, layout, a, exps_a, b, exps_b):
-    """Product of two term dicts through numpy outer sums."""
+def _mul_numpy(field, n, layout, a, b):
+    """Product of two factors given as (exps, raws) through numpy outer
+    sums."""
     shifts, masks, _ = layout
     weights = np.array([1 << s for s in shifts], dtype=np.int64)
-    keys, raws = _accumulate(
-        field, _mul_pieces(field, weights, a, exps_a, b, exps_b))
-    return _unpack_arrays(keys, raws, shifts, masks)
+    keys, raws = _accumulate(field, _mul_pieces(field, weights, *a, *b))
+    return Polynomial._packed(field, n, _key_exps(keys, shifts, masks), raws)
 
 
 def _mul_python(field, layout, a, b):
@@ -519,23 +571,25 @@ def _pair_sums(field, a, b):
 
 
 def _mul_terms(field, a, b):
-    """Term dict of the product of two term dicts."""
-    if len(a) > len(b):
-        a, b = b, a
-    if not a:
-        return {}
-    if len(a) == 1:
-        (exp, c), = a.items()
+    """Product of two Polynomials."""
+    size_a, size_b = _count(a), _count(b)
+    if size_a > size_b:
+        a, b, size_a, size_b = b, a, size_b, size_a
+    if not size_a:
+        return Polynomial._make(field, a.n, {})
+    if size_a == 1:
+        (exp, c), = a.terms.items()
         return _shift_terms(field, exp, c, b)
-    if len(a) * len(b) >= _NUMPY_MIN_PAIRS:
-        exps_a, exps_b = _exp_array(a), _exp_array(b)
-        if exps_a is not None and exps_b is not None:
-            layout = _layout(exps_a.max(axis=0).tolist(),
-                             exps_b.max(axis=0).tolist())
+    if size_a * size_b >= _NUMPY_MIN_PAIRS:
+        packed_a, packed_b = _arrays_of(a), _arrays_of(b)
+        if packed_a is not None and packed_b is not None:
+            layout = _layout(packed_a[0].max(axis=0).tolist(),
+                             packed_b[0].max(axis=0).tolist())
             if layout[2] <= _INT64_BITS:
-                return _mul_numpy(field, layout, a, exps_a, b, exps_b)
+                return _mul_numpy(field, a.n, layout, packed_a, packed_b)
+    n, a, b = a.n, a.terms, b.terms
     layout = _layout([max(col) for col in zip(*a)], [max(col) for col in zip(*b)])
-    return _mul_python(field, layout, a, b)
+    return Polynomial._make(field, n, _mul_python(field, layout, a, b))
 
 
 # -- packed-key linear substitution --------------------------------------
@@ -707,22 +761,21 @@ def _substitute_pieces(field, plan, exps, raws, powers):
         yield np.concatenate(batch_k), np.concatenate(batch_v)
 
 
-def _substitute_terms(field, rows, terms):
-    """Term dict of `terms` under x_i -> sum_j rows[i][j] x_j, rows given
-    as raw values."""
-    if not terms:
-        return {}
-    n = len(rows)
-    top = max(map(sum, terms))
-    plan = _row_plan(field, rows, top.bit_length())
+def _substitute_terms(field, rows, poly):
+    """poly under x_i -> sum_j rows[i][j] x_j, rows given as raw values."""
+    n = poly.n
+    if poly.is_zero():
+        return Polynomial._make(field, n, {})
+    plan = _row_plan(field, rows, poly.degree().bit_length())
     width = plan[0]
     shifts, masks = [j * width for j in range(n)], [(1 << width) - 1] * n
-    if len(terms) >= _NUMPY_MIN_PAIRS and n * width <= _INT64_BITS:
-        raws = np.fromiter(terms.values(), np.int64, len(terms))
+    if _count(poly) >= _NUMPY_MIN_PAIRS and n * width <= _INT64_BITS:
         keys, raws = _accumulate(field, _substitute_pieces(
-            field, plan, _exp_array(terms), raws, {}))
-        return _unpack_arrays(keys, raws, shifts, masks)
-    return _unpack(_substitute_python(field, plan, terms, {}), shifts, masks)
+            field, plan, *_arrays_of(poly), {}))
+        return Polynomial._packed(field, n, _key_exps(keys, shifts, masks),
+                                  raws)
+    return Polynomial._make(field, n, _unpack(
+        _substitute_python(field, plan, poly.terms, {}), shifts, masks))
 
 
 def _convolve(field, a, b):
@@ -933,8 +986,8 @@ class TensorElement:
         the second one found: one for a homogeneous element, none for 0."""
         found = []
         for ext, poly in self.parts.items():
-            for exp in poly.terms:
-                d = 2 * sum(exp) + len(ext)
+            for degree in _first_degrees(poly):
+                d = 2 * degree + len(ext)
                 if not found or d != found[0]:
                     found.append(d)
                     if len(found) == 2:
@@ -990,7 +1043,7 @@ def _add_part(parts, word, poly):
     word when the sum is zero."""
     prev = parts.get(word)
     total = poly if prev is None else prev + poly
-    if total.terms:
+    if not total.is_zero():
         parts[word] = total
     else:
         parts.pop(word, None)
@@ -1105,17 +1158,13 @@ def _tensor_parts(u):
     """(width, parts) for the numpy route, each part as (word, exponent
     array, raw array); None when u is zero, is below _NUMPY_MIN_PAIRS
     terms or its keys do not fit one int64."""
-    count = sum(len(poly.terms) for poly in u.parts.values())
+    count = sum(map(_count, u.parts.values()))
     if not count or count < _NUMPY_MIN_PAIRS:
         return None
-    width = max(max(map(sum, poly.terms))
-                for poly in u.parts.values()).bit_length()
+    width = max(poly.degree() for poly in u.parts.values()).bit_length()
     if u.n * (width + 1) > _INT64_BITS:
         return None
-    return width, [
-        (word, _exp_array(poly.terms),
-         np.fromiter(poly.terms.values(), np.int64, len(poly.terms)))
-        for word, poly in u.parts.items()]
+    return width, [(word, *_arrays_of(poly)) for word, poly in u.parts.items()]
 
 
 def _word_key(word, n, width):
@@ -1160,8 +1209,8 @@ def _tensor_of_arrays(field, n, width, keys, raws):
     parts = {}
     for mask, lo, hi in zip(words.tolist(), starts.tolist(), ends):
         word = tuple(j + 1 for j in range(n) if mask >> j & 1)
-        parts[word] = Polynomial._make(field, n, _unpack_arrays(
-            keys[lo:hi], raws[lo:hi], shifts, masks))
+        parts[word] = Polynomial._packed(
+            field, n, _key_exps(keys[lo:hi], shifts, masks), raws[lo:hi])
     return TensorElement._make(field, n, parts)
 
 

@@ -67,11 +67,15 @@ def make_field(p: int, e: int = 1, modulus=None) -> "FieldSpec":
 
     modulus: coefficient list [c_0, ..., c_e] of a monic irreducible
     polynomial over F_p, required exactly when e > 1.  Its entries are
-    read as integers: numpy integers pass, a float or a string raises
-    NotAnInteger.
+    read as integers, and so are p and e: numpy integers pass, a float, a
+    string or a bool raises NotAnInteger.
     """
-    if not isinstance(p, int) or not isinstance(e, int):
-        raise InvalidFieldSpec("p and e must be ints")
+    try:
+        if isinstance(p, bool) or isinstance(e, bool):
+            raise TypeError
+        p, e = index(p), index(e)
+    except TypeError:
+        raise NotAnInteger(f"p = {p!r} and e = {e!r} must be integers") from None
     if not _is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if p == 2:

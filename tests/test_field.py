@@ -6,6 +6,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from fqinv import FieldElement, enumerate_elements, gens_standard, make_field
+from fqinv import field as field_module
 from fqinv.errors import (
     ArityMismatch,
     DivisionByZero,
@@ -50,6 +51,22 @@ def test_make_field_reads_modulus_entries_as_integers(modulus):
 def test_make_field_accepts_numpy_integer_modulus():
     assert make_field(3, 2, np.array([1, 0, 1])) is F9
     assert make_field(3, 2, [np.int64(4), np.int8(0), np.uint16(1)]) is F9
+
+
+@pytest.mark.parametrize("cached", [True, False], ids=["F3-cached", "F3-new"])
+def test_make_field_reads_p_and_e_as_integers(monkeypatch, cached):
+    # a bool passed as an int: make_field(3, True) gave the cached F3, or a
+    # bare TypeError from numpy when F3 was new; np.int64(3) was refused
+    if not cached:
+        monkeypatch.setattr(field_module, "_field_cache", {})
+    for args in [(3, True), (True,), (3, np.True_), (3.0,), (3, 1.0), ("3",)]:
+        with pytest.raises(NotAnInteger):
+            make_field(*args)
+    got = make_field(np.int64(3))
+    assert got == F3 and (got is F3) == cached
+    assert make_field(np.int8(3), np.uint16(1)) is got
+    assert (got.p, got.e) == (3, 1) and type(got.p) is int
+    assert make_field(np.int64(5), np.int64(2), [3, 0, 1]) == F25
 
 
 def test_make_field_caches_instances():

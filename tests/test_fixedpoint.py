@@ -607,8 +607,9 @@ def test_action_levels_match_per_monomial_substitution(field):
             exps = list(algebra._compositions(k, n))
             rank = {exp: i for i, exp in enumerate(exps)}
             want = {(rank[exp2], a): raw for a, exp in enumerate(exps)
-                    for exp2, raw in algebra._substitute_terms(
-                        field, rows, {exp: field.one}).items()}
+                    for exp2, raw in Polynomial._make(
+                        field, n, {exp: field.one}).substitute_linear(
+                            rows).terms.items()}
             assert level_entries(fixedpoint._level(field, rows, k, False)) \
                 == want, k
         for r in range(n + 1):

@@ -1,13 +1,15 @@
 """The packed-monomial multiplication kernel against the tuple-keyed
 convolution it replaced, kept here as the oracle."""
 
+import random
 from contextlib import contextmanager
 
 import pytest
 from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
-from fqinv import Polynomial, algebra
+from fqinv import Polynomial, TensorElement, algebra, tensor_act, transvection
+from fqinv.errors import DegreeMismatch
 
 from conftest import ALL_FIELDS, F5, F25, F125
 
@@ -277,3 +279,115 @@ def test_shift_terms_matches_reference(shift_routes, c, size, top, exp, route):
     want = reference_mul(F25, {exp: c}, terms)
     assert list(got.terms.items()) == list(want.items())
     assert shift_routes == [route]
+
+
+
+# -- packed results ----------------------------------------------------------
+#
+# Every numpy exit returns a Polynomial that holds the kernel's arrays until
+# its terms are read.  Each is checked against its Python-loop route: the
+# structure queries, answered from the arrays without building the dict; the
+# terms once built; and their order, which is ascending packed key for the
+# numpy routes and the input's order for a monomial shift and q_power.
+
+def draw_terms(field, rng, size, top, homogeneous, n=3):
+    """size terms in n variables of total degree top, or of any degree up
+    to top, with random nonzero raws."""
+    degrees = [top] if homogeneous else range(top + 1)
+    pool = [e for d in degrees for e in algebra._compositions(d, n)]
+    return {e: rng.randrange(1, field.q) for e in rng.sample(pool, size)}
+
+
+def structure(p):
+    """is_zero, degree and is_homogeneous of p, and is_homogeneous and
+    coh_degree (None when it raises) of p as an element."""
+    u = TensorElement.from_polynomial(p)
+    try:
+        coh = u.coh_degree()
+    except DegreeMismatch:
+        coh = None
+    return p.is_zero(), p.degree(), p.is_homogeneous(), u.is_homogeneous(), coh
+
+
+def python_route(make):
+    with forced("python"):
+        return make()
+
+
+def packed_exits(field, rng, homogeneous):
+    """name -> (a function that computes a Polynomial through one numpy
+    exit, the same Polynomial from its Python loop, the order of its terms
+    as a function of their dict)."""
+    a = poly(field, 3, draw_terms(field, rng, 12, 9, homogeneous))
+    b = poly(field, 3, draw_terms(field, rng, 15, 9, homogeneous))
+    big = poly(field, 3, draw_terms(field, rng, algebra._NUMPY_MIN_PAIRS + 2,
+                                    15, homogeneous))
+    c = field.q - 1 if field.e == 1 else field.p
+    monomial = poly(field, 3, {(2, 0, 5): c})
+    rows = [[1, c, 0], [0, 1, 0], [0, 0, field.q - 1]]
+    # x_1 -> 0 on terms that all hold x_1: the image is zero
+    with_x1 = poly(field, 3, {(e[0] + 1, *e[1:]): v
+                              for e, v in big.terms.items()})
+    projection = [[0, 0, 0], [0, 1, 0], [0, 0, 1]]
+    exits = {
+        "mul": (lambda: a * b, None, _by_packed_key),
+        "shift": (lambda: monomial * big, None, dict),
+        "q_power": (big.q_power, lambda: poly(field, 3, {
+            tuple(e * field.q for e in exp): v
+            for exp, v in big.terms.items()}), dict),
+        "substitute": (lambda: big.substitute_linear(rows), None,
+                       _by_packed_key),
+        "substitute-to-zero": (lambda: with_x1.substitute_linear(projection),
+                               None, _by_packed_key),
+    }
+    return {name: (make, python_route(oracle or make), order)
+            for name, (make, oracle, order) in exits.items()}
+
+
+@pytest.mark.parametrize("homogeneous", [True, False],
+                         ids=["homogeneous", "mixed"])
+@pytest.mark.parametrize("field", ALL_FIELDS, ids=repr)
+def test_packed_exits_match_the_python_routes(field, homogeneous):
+    rng = random.Random(field.q)
+    for name, (make, want, order) in packed_exits(
+            field, rng, homogeneous).items():
+        got = make()
+        assert got._arrays is not None, name
+        assert structure(got) == structure(want), name
+        assert got._arrays is not None, name     # the queries left it packed
+        assert got.terms == want.terms, name
+        assert list(got.terms) == list(order(want.terms)), name
+
+
+def _word_mask(word):
+    return sum(1 << (j - 1) for j in word)
+
+
+@pytest.mark.parametrize("homogeneous", [True, False],
+                         ids=["homogeneous", "mixed"])
+@pytest.mark.parametrize("field", ALL_FIELDS, ids=repr)
+def test_packed_tensor_act_matches_the_python_route(field, homogeneous):
+    rng = random.Random(field.q)
+    size = algebra._NUMPY_MIN_PAIRS // 2 + 1
+    # 2|exp| + |word| is 30 on both words when homogeneous
+    u = TensorElement._make(field, 3, {
+        (): poly(field, 3, draw_terms(field, rng, size, 15, homogeneous)),
+        (1, 2): poly(field, 3, draw_terms(field, rng, size, 14, homogeneous))})
+    c = field.q - 1 if field.e == 1 else field.p
+    g = transvection(field, 3, 1, 2, field.from_raw(c))
+    got = tensor_act(g, u)
+    want = python_route(lambda: tensor_act(g, u))
+    assert all(p._arrays is not None for p in got.parts.values())
+    try:
+        coh = got.coh_degree()
+    except DegreeMismatch:
+        coh = None
+    assert coh == (30 if homogeneous else None)
+    assert got.is_homogeneous() == homogeneous
+    assert [structure(p) for p in got.parts.values()] == \
+        [structure(want.parts[word]) for word in got.parts]
+    assert all(p._arrays is not None for p in got.parts.values())
+    assert list(got.parts) == sorted(want.parts, key=_word_mask)
+    for word, p in got.parts.items():
+        assert list(p.terms.items()) == \
+            list(_by_packed_key(want.parts[word].terms).items()), word
