@@ -778,6 +778,32 @@ def _substitute_terms(field, rows, poly):
         _substitute_python(field, plan, poly.terms, {}), shifts, masks))
 
 
+def _substitute_tagged(field, rows, exps, tags, raws):
+    """The terms x^exps[i] y^tags[i], with raws `raws`, under
+    x_i -> sum_j rows[i][j] x_j and y -> y, rows given as raw values, as
+    int64 exponent rows (y's last) and raws whose equal rows are not yet
+    added up.  The tag y is packed above the monomial, so it may be any
+    width.  As in _substitute_terms, fewer than _NUMPY_MIN_PAIRS terms and
+    keys that pass _INT64_BITS take the Python loop."""
+    n = exps.shape[1]
+    width = int(exps.sum(axis=1).max(initial=0)).bit_length()
+    top = int(tags.max(initial=0)).bit_length()
+    plan = _row_plan(field, [[*row, 0] for row in rows] + [[0] * n + [1]],
+                     width)
+    shifts = [j * width for j in range(n + 1)]
+    masks = [(1 << width) - 1] * n + [(1 << top) - 1]
+    tagged = np.column_stack((exps, tags))
+    if len(raws) >= _NUMPY_MIN_PAIRS and n * width + top <= _INT64_BITS:
+        keys, raws = zip(*_substitute_pieces(field, plan, tagged, raws, {}))
+        return _key_exps(np.concatenate(keys), shifts, masks), \
+            np.concatenate(raws)
+    terms = _unpack(_substitute_python(
+        field, plan, dict(zip(map(tuple, tagged.tolist()), raws.tolist())),
+        {}), shifts, masks)
+    return (np.array(list(terms), dtype=np.int64).reshape(-1, n + 1),
+            np.array(list(terms.values()), dtype=np.int64))
+
+
 def _convolve(field, a, b):
     """Product of two (packed key, raw) lists as a list with distinct
     keys and no zero raws."""

@@ -15,12 +15,13 @@ kernel, is the fixed space.  Rows with a single live entry are peeled
 first, since their columns vanish on the kernel (structured Gaussian
 elimination, LaMacchia & Odlyzko, CRYPTO '90), and a column one
 generator forces to zero can leave such rows in another's; only what is
-left is made dense and eliminated exactly, once per block.  Each
-generator's action on a block is one sparse matrix, the Kronecker
-product of its actions on the exterior words and on the monomials; the
-action on the degree-k monomials is built from that on degree k-1 in one
-vectorised step and cached per generator.  Every elimination runs over
-F_p on the base-p digits of F_q-vectors.
+left is made dense and eliminated exactly, once per block.  A
+generator's (A_g - 1) times the orbit kernel needs g's action on the
+orbit kernel's support only, and that comes from algebra's substitution
+kernel in one call per generator and block; a monomial generator's
+permutation is read off the exponent arrays.  Nothing is kept between
+blocks.  Every elimination runs over F_p on the base-p digits of
+F_q-vectors.
 
 The case table has one row per case kind.  A row ties the kind's group
 presentation to the free-module shape of its invariant ring (polynomial
@@ -42,7 +43,8 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import Polynomial, TensorElement, _compositions, _ints
+from .algebra import (Polynomial, TensorElement, _compositions,
+                      _exterior_image, _ints, _substitute_tagged)
 from .dickson import dickson_c, dickson_e, index_subsets, o_poly, theorem_basis
 from .errors import (
     ArityTooSmall,
@@ -178,10 +180,6 @@ def _canonical_rows(a, field):
 # forces to zero can leave singleton rows in another's, so the peeling in
 # _kernel cascades across generators before anything is made dense.
 
-_STEP_TABLES = 256          # cached step tables, one per (n, degree)
-_CACHED_ACTIONS = 512       # generator actions on words or monomials kept
-
-
 def _split_generators(gens):
     """The monomial generators, which map every variable to a scalar
     multiple of a single variable, and the others."""
@@ -228,12 +226,6 @@ def _orbit_kernel(field, moves):
     return column, np.array(value, dtype=np.int64), width
 
 
-def _readonly(*arrays):
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
-
-
 def _exponent_rows(n, k):
     """The degree-k exponents in n variables as the rows of an array, in
     block order (descending lexicographic, as algebra._compositions)."""
@@ -248,119 +240,80 @@ def _exponent_rows(n, k):
     return np.column_stack(cols + [rest])
 
 
-@lru_cache(maxsize=_STEP_TABLES)
-def _poly_steps(n, k):
-    """x_j times the degree-(k-1) monomial b is the degree-k monomial
-    up[j, b], in block order, with no sign (odd is False).  The rank of an
-    exponent a counts, for each i < n-1, the exponents that agree with a
-    before i and are larger at i; by stars and bars there are
-    C(s + n-1-i - 1, n-1-i) of them, s the sum of a past i."""
-    b = _exponent_rows(n, k - 1)
-    parts = np.arange(n - 1, 0, -1)           # n-1-i for i < n-1
-    comb = np.array([[math.comb(s + j - 1, j) if s else 0 for j in range(n)]
-                     for s in range(k + 1)], dtype=np.int64)
-    up = np.empty((n, len(b)), dtype=np.int64)
-    for j in range(n):
-        a = b.copy()
-        a[:, j] += 1
-        past = np.cumsum(a[:, :0:-1], axis=1)[:, ::-1]
-        up[j] = comb[past, parts].sum(axis=1)
-    return _readonly(up, np.zeros(up.shape, dtype=bool))
+def _exponent_rank(exps):
+    """Block-order positions of the exponent rows `exps`, all of one
+    degree k.  The rank of an exponent a counts, for each i < n-1, the
+    exponents that agree with a before i and are larger at i; by stars and
+    bars there are C(s + j - 1, j) of them, j = n-1-i and s the sum of a
+    past i."""
+    n, k = exps.shape[1], int(exps[:1].sum())
+    rank, past = np.zeros((2, len(exps)), dtype=np.int64)
+    for j in range(1, n):
+        past += exps[:, n - j]
+        rank += np.array([math.comb(s + j - 1, j) if s else 0
+                          for s in range(k + 1)], dtype=np.int64)[past]
+    return rank
 
 
-@lru_cache(maxsize=_STEP_TABLES)
-def _word_steps(n, r):
-    """dx_j wedge the length-(r-1) word K (0-based indices) is
-    (-1)^odd[j, K] times the word up[j, K], up -1 where K holds j."""
-    prev = list(combinations(range(n), r - 1))
-    rank = {word: i for i, word in enumerate(combinations(range(n), r))}
-    up = np.array([[-1 if j in K else rank[tuple(sorted(K + (j,)))]
-                    for K in prev] for j in range(n)])
-    odd = np.array([[sum(i < j for i in K) % 2 for K in prev]
-                    for j in range(n)], dtype=bool)
-    return _readonly(up, odd)
+def _word_images(field, rows, words, present):
+    """The images of the words indexed by `present` under dx_j -> sum_k
+    rows[j-1][k-1] dx_k, as arrays (to, by) of one row per word: word w
+    goes to the sum over t of by[w, t] times word to[w, t], by 0 past its
+    image."""
+    images = {w: _exterior_image(field, rows, words[w])
+              for w in present.tolist()}
+    rank = {word: i for i, word in enumerate(words)}
+    fan = max(map(len, images.values()), default=0)
+    to, by = np.zeros((2, len(words), fan), dtype=np.int64)
+    for w, image in images.items():
+        to[w, :len(image)] = [rank[word] for word in image]
+        by[w, :len(image)] = list(image.values())
+    return to, by
 
 
-@lru_cache(maxsize=_CACHED_ACTIONS)
-def _levels(field, rows, exterior):
-    """The levels of one generator's action built so far, level 0 first;
-    _level appends to the list."""
-    one = np.ones(1, dtype=np.int64)
-    return [_readonly(one - 1, one - 1, one)]
-
-
-def _level(field, rows, k, exterior):
-    """The action of x_i -> sum_j rows[i][j] x_j (raw rows) on the
-    degree-k monomials, or of dx_i -> sum_j rows[i][j] dx_j on the
-    length-k words, as read-only F_q entries (rows, cols, raws) sorted by
-    column, then row, in block order.  For x^a = x_i x^b, i least, column
-    a is (sum_j rows[i][j] x_j) times column b of level k-1, so each level
-    is one vectorised step from the one below, built once per generator."""
-    levels = _levels(field, rows, exterior)
-    coef, mul = np.array(rows, dtype=np.int64), field.product_array
-    while len(levels) <= k:
-        up, odd = (_word_steps if exterior else _poly_steps)(len(rows),
-                                                             len(levels))
-        size = int(up.max()) + 1
-        first, parent = np.empty(size, np.int64), np.empty(size, np.int64)
-        for j in reversed(range(len(rows))):     # the least j stays
-            b = np.flatnonzero(up[j] >= 0)
-            first[up[j, b]], parent[up[j, b]] = j, b
-        prev_rows, prev_cols, prev_raws = levels[-1]
-        ptr = np.searchsorted(prev_cols, np.arange(up.shape[1] + 1))
-        counts = ptr[parent + 1] - ptr[parent]
-        col = np.repeat(np.arange(size), counts)
-        at = np.arange(len(col)) + np.repeat(
-            ptr[parent] - np.cumsum(counts) + counts, counts)
-        b, v, lead = prev_rows[at], prev_raws[at], first[col]
-        keys, raws = [], []
-        for j in range(len(rows)):
-            to, c = up[j, b], coef[lead, j]
-            keep = (to >= 0) & (c != 0)
-            prod = mul[c[keep], v[keep]]
-            keys.append(col[keep] * size + to[keep])
-            raws.append(np.where(odd[j, b[keep]], mul[field.p - 1, prod], prod))
-        key, raw = field.sum_duplicates(np.concatenate(keys),
-                                        np.concatenate(raws))
-        levels.append(_readonly(key % size, key // size, raw))
-    return levels[k]
-
-
-def _block_action(field, g, k, r):
-    """g's action on the (k, r) block, whose position w*len(exps) + a holds
-    x^exps[a] dx_words[w] (exps = _compositions(k, n), words the length-r
-    words in order), as F_q entries (rows, cols, raws): the Kronecker
-    product of its actions on the words and on the monomials."""
-    poly_rows, poly_cols, poly_raws = _level(field, g.inverse_rows(), k, False)
-    word_rows, word_cols, word_raws = _level(field, g.inverse_rows(), r, True)
-    width = math.comb(k + g.n - 1, g.n - 1)
-    return ((word_rows[:, None] * width + poly_rows).ravel(),
-            (word_cols[:, None] * width + poly_cols).ravel(),
-            field.product_array[word_raws[:, None], poly_raws].ravel())
-
-
-def _monomial_permutation(field, g, k, r):
+def _monomial_permutation(field, g, exps, r):
     """Index permutation and scalar twist of a monomial generator on the
-    block: g sends position i to scale[i] times position perm[i]."""
-    rows, cols, raws = _block_action(field, g, k, r)
-    perm, scale = np.empty_like(rows), np.empty_like(raws)
-    perm[cols], scale[cols] = rows, raws
-    return perm, scale
+    block of the exponent rows `exps` and the length-r words: g sends
+    position i to scale[i] times position perm[i].  x_i -> c_i x_pi(i)
+    sends x^a to prod c_i^(a_i) x^(pi(a)), the scalar a sum of logs."""
+    rows, q = g.inverse_rows(), field.q
+    target = [next(j for j, c in enumerate(row) if c) for row in rows]
+    logs = field.log_array[[row[j] for row, j in zip(rows, target)]]
+    image = exps[:, np.argsort(target)]       # pi(a)[target[i]] = a[i]
+    twist = field.exp_array[(exps % (q - 1)) @ logs % (q - 1)]
+    words = list(combinations(range(1, g.n + 1), r))
+    to, by = _word_images(field, rows, words, np.arange(len(words)))
+    perm = to[:, :1] * len(exps) + _exponent_rank(image)
+    return perm.ravel(), field.product_array[by[:, :1], twist].ravel()
 
 
-def _moved(field, g, k, r, k0):
-    """(A_g - 1) K0 as F_q entries (rows, cols, raws), for g's block action
-    A_g and the orbit kernel K0 = (column, value, width)."""
+def _moved(field, g, exps, r, k0):
+    """(A_g - 1) K0 as F_q entries (rows, cols, raws), for g's action A_g
+    on the block of the exponent rows `exps` and the length-r words, and
+    the orbit kernel K0 = (column, value, width).  K0's support goes
+    through algebra's substitution kernel at once, each term tagged with
+    its K0 column and its word by one more variable that the substitution
+    leaves alone, so that their images stay apart.  The words' images and
+    -K0 are then added in one FieldSpec.sum_duplicates."""
     column, value, width = k0
-    rows, cols, raws = _block_action(field, g, k, r)
-    diag = np.arange(len(column))
-    rows, cols = np.concatenate((rows, diag)), np.concatenate((cols, diag))
-    raws = np.concatenate((raws, np.full(len(diag), field.p - 1)))  # -1
-    keep = column[cols] >= 0
-    rows, cols, raws = rows[keep], cols[keep], raws[keep]
-    key, raws = field.sum_duplicates(rows * width + column[cols],
-                                     field.product_array[raws, value[cols]])
-    return key // width, key % width, raws
+    n, size, rows = g.n, len(exps), g.inverse_rows()
+    words = list(combinations(range(1, n + 1), r))
+    pos = np.flatnonzero(column >= 0)
+    word, at = np.divmod(pos, size)
+    image, raws = _substitute_tagged(field, rows, exps[at],
+                                     column[pos] * len(words) + word,
+                                     value[pos])
+    to, by = _word_images(field, rows, words, np.unique(word))
+    col, word = np.divmod(image[:, n], len(words))
+    keys = ((to[word] * size + _exponent_rank(image[:, :n])[:, None]) * width
+            + col[:, None])
+    raws = field.product_array[raws[:, None], by[word]]
+    live = raws != 0
+    keys, raws = field.sum_duplicates(
+        np.concatenate((keys[live], pos * width + column[pos])),
+        np.concatenate((raws[live],
+                        field.product_array[field.p - 1, value[pos]])))  # -K0
+    return keys // width, keys % width, raws
 
 
 def _digits(field, rows, cols, raws):
@@ -398,13 +351,14 @@ def _block_kernel(field, n, gens, k, r):
     if there is no other generator or K0 is empty)."""
     size = _block_size(n, k, r)
     monomial, general = _split_generators(gens)
+    exps = _exponent_rows(n, k)
     k0 = (np.arange(size), np.ones(size, np.int64), size)
     if monomial:
-        k0 = _orbit_kernel(field, [_monomial_permutation(field, g, k, r)
+        k0 = _orbit_kernel(field, [_monomial_permutation(field, g, exps, r)
                                    for g in monomial])
     if not general or k0[2] == 0:
         return k0, None
-    rows, cols, vals = zip(*(_digits(field, *_moved(field, g, k, r, k0))
+    rows, cols, vals = zip(*(_digits(field, *_moved(field, g, exps, r, k0))
                              for g in general))
     rows = [at + i * size * field.e for i, at in enumerate(rows)]
     return k0, _kernel(np.concatenate(rows), np.concatenate(cols),
@@ -563,6 +517,18 @@ def _q_degrees(q, length, subsets):
     return [length + sum(2 * q ** i - 1 for i in I) for I in subsets]
 
 
+def _subsets(n, max_size=None):
+    """index_subsets(n, max_size), refused before it is listed when it
+    would hold more than BASIS_CAP subsets."""
+    count = 0
+    for r in range((n if max_size is None else max_size) + 1):
+        count += math.comb(n, r)
+        if count > BASIS_CAP:
+            raise FeasibilityCapExceeded(
+                f"{n} indices have more than {BASIS_CAP} index subsets")
+    return index_subsets(n, max_size)
+
+
 def _poly_el(poly):
     return TensorElement.from_polynomial(poly)
 
@@ -699,7 +665,7 @@ _KINDS["sl"] = _Kind(
     gens=lambda field, n: _linear("sl", n, field, _sl_small(field, n)),
     degrees=lambda q, n: (
         [_deg_e(n, q)] + [_deg_c(n, i, q) for i in range(1, n)],
-        [0] + _q_degrees(q, n, index_subsets(n, n - 1))),
+        [0] + _q_degrees(q, n, _subsets(n, n - 1))),
     elements=_sl_elements,
     cap=lambda n: 40 if n <= 2 else (30 if n == 3 else 12), standard=True)
 _KINDS["gl"] = replace(
@@ -708,14 +674,14 @@ _KINDS["gl"] = replace(
     degrees=lambda q, n: (
         [_deg_c(n, i, q) for i in range(n)],
         [0] + _q_degrees(q, (q - 2) * _deg_e(n, q) + n,
-                         index_subsets(n, n - 1))),
+                         _subsets(n, n - 1))),
     elements=_gl_elements)
 _KINDS["g0"] = _Kind(
     gens=_translations,
     degrees=lambda q, n: (
         [2 * q ** (n - 1)] + [2] * (n - 1),
-        _q_degrees(q, n, index_subsets(n - 1))
-        + [len(J) for J in index_subsets(n - 1)]),
+        _q_degrees(q, n, _subsets(n - 1))
+        + [len(J) for J in _subsets(n - 1)]),
     elements=_g0_elements,
     cap=lambda n: 20 if n <= 3 else 12, min_n=2, witness=True)
 _KINDS["parabolic"] = replace(
@@ -723,8 +689,8 @@ _KINDS["parabolic"] = replace(
     degrees=lambda q, n: (
         [2 * q ** (n - 1), _deg_e(n - 1, q)]
         + [_deg_c(n - 1, i, q) for i in range(1, n - 1)],
-        [0] + _q_degrees(q, n - 1, index_subsets(n - 1, n - 2))
-        + _q_degrees(q, n, index_subsets(n - 1))),
+        [0] + _q_degrees(q, n - 1, _subsets(n - 1, n - 2))
+        + _q_degrees(q, n, _subsets(n - 1))),
     elements=_parabolic_elements)
 _KINDS["f4_3"] = _reordered(_KINDS["sl"], (0, 2, 1), q=3, n=3)
 _KINDS["e6_4"] = _reordered(_KINDS["parabolic"], (1, 3, 2, 0), q=3, n=4,
@@ -955,13 +921,13 @@ def verify_module(case, d_max=None) -> VerificationReport:
     if d_max > cap:
         raise FeasibilityCapExceeded(
             f"case {c.label}: d_max {d_max} exceeds the schedule cap {cap}")
-    # an infeasible degree and a witness past 243 orbit factors are both
-    # refused before the solver, the module description and the elements
+    # an infeasible degree, too many basis degrees and a witness past 243
+    # orbit factors are all refused before the solver and the elements
     for d in range(d_max + 1):
         _check_cap(c.n, d)
+    desc = module_description(c)
     wilkerson = wilkerson_check(c)
     group = case_group(c)
-    desc = module_description(c)
     rows = tuple(DegreeRow(d, fixed_dim(group, d), hilbert_coeff(desc, d))
                  for d in range(d_max + 1))
     ring, basis = case_elements(c)

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +15,13 @@ from fqinv import cli
 from fqinv.algebra import TensorElement, from_json, to_json
 from fqinv.dickson import dickson_c, dickson_e, mui_q
 from fqinv.field import make_field
-from fqinv.fixedpoint import DegreeRow, VerificationReport, wilkerson_check
+from fqinv.fixedpoint import (
+    DegreeRow,
+    VerificationReport,
+    hilbert_coeff,
+    module_description,
+    wilkerson_check,
+)
 from fqinv.groups import act, gens_standard
 
 from conftest import F3
@@ -167,6 +174,8 @@ def test_usage_errors_exit_two(capsys):
     ["verify", "--case", "parabolic(7,3)", "--max-degree", "0"],
     # degree 7 passes the basis cap; refused before any degree is solved
     ["verify", "--case", "sl(20,3)"],
+    # 2^30 module basis degrees are refused before they are listed
+    ["verify", "--case", "sl(30,3)", "--max-degree", "2"],
     ["mui", "--n", "3", "--p", "3", "--I", "1,0"],
     ["mui", "--n", "3", "--p", "3", "--I", "0", "--det-form", "--r", "1"],
     ["order", "--case", "e7_4", "--bfs", "--cap", "-5"],
@@ -186,14 +195,31 @@ OPOLY_4_5_SHA256 = \
     "75fd6945ebe74cec0f9f27e8a1d701a3a5a1ab86f58711b003d1c32729095198"
 
 
-def run_module(module, *argv, **env):
+def run_module(module, *argv, preexec_fn=None, **env):
     """The finished `python -m module argv` in a fresh interpreter that
-    imports this checkout's fqinv, with env added to the environment."""
+    imports this checkout's fqinv, with env added to the environment;
+    preexec_fn runs in the child before it starts."""
     src = str(Path(fqinv.__file__).resolve().parent.parent)
     env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, "-m", module, *argv],
-                          capture_output=True, env=env, timeout=300)
+                          capture_output=True, env=env, timeout=300,
+                          preexec_fn=preexec_fn)
+
+
+def _one_gigabyte_of_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_fixed_dim_at_a_high_degree_fits_one_gigabyte():
+    # the solver substitutes K0's support only; building every degree-299
+    # monomial's action ran out of a 4 GB limit here
+    proc = run_module("fqinv", "fixed-dim", "--case", "gl(3,7)", "--degree",
+                      "598", preexec_fn=_one_gigabyte_of_address_space,
+                      OPENBLAS_NUM_THREADS="1")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["dim"] == hilbert_coeff(
+        module_description("gl(3,7)"), 598)
 
 
 def stdout_under_hash_seeds(*argv, blas_threads=()):

@@ -3,7 +3,6 @@
 import hashlib
 import json
 import math
-import random
 from contextlib import contextmanager
 from dataclasses import replace
 from itertools import combinations
@@ -366,10 +365,12 @@ def test_peeling_shrinks_what_e7_4_eliminates():
     group = case_group("e7_4")
     field, n, k, r = group.field, group.n, 18, 0
     monomial, general = fixedpoint._split_generators(group.generators)
+    exps = fixedpoint._exponent_rows(n, k)
     k0 = fixedpoint._orbit_kernel(field, [
-        fixedpoint._monomial_permutation(field, g, k, r) for g in monomial])
+        fixedpoint._monomial_permutation(field, g, exps, r) for g in monomial])
     live_rows = sum(len(np.unique(fixedpoint._digits(
-        field, *fixedpoint._moved(field, g, k, r, k0))[0])) for g in general)
+        field, *fixedpoint._moved(field, g, exps, r, k0))[0]))
+        for g in general)
     full = (live_rows, k0[2] * field.e)
     with eliminated() as seen:
         fixedpoint._block_kernel(field, n, group.generators, k, r)
@@ -399,39 +400,42 @@ def test_block_kernel_is_the_dense_nullspace_of_the_stacked_operators(
     field, n = gens[0].field, gens[0].n
     _, general = fixedpoint._split_generators(gens)
     assert general
-    for d in range(d_max + 1):
-        for k, r in fixedpoint._block_shapes(n, d):
-            (column, value, width), m = fixedpoint._block_kernel(
-                field, n, gens, k, r)
-            if width == 0:
-                assert m is None
-                continue
-            size = len(column)
-            k0 = np.zeros((size, width), dtype=np.int64)
-            kept = np.flatnonzero(column >= 0)
-            k0[kept, column[kept]] = value[kept]
-            k0 = digit_matrix(field, k0)
-            stacked = []
-            for g in general:
-                a = np.zeros((size, size), dtype=np.int64)
-                rows, cols, raws = fixedpoint._block_action(field, g, k, r)
-                a[rows, cols] = raws
-                moved = digit_matrix(field, a) - np.eye(size * field.e,
-                                                        dtype=np.int64)
-                stacked.append(moved @ k0 % field.p)
-            want = dense_nullspace(np.vstack(stacked), field.p)
-            assert np.array_equal(m, want), (k, r)
+    for exps, words, basis, index in _blocks(n, d_max):
+        k, r = sum(exps[0]), len(words[0])
+        (column, value, width), m = fixedpoint._block_kernel(
+            field, n, gens, k, r)
+        if width == 0:
+            assert m is None
+            continue
+        size = len(column)
+        k0 = np.zeros((size, width), dtype=np.int64)
+        kept = np.flatnonzero(column >= 0)
+        k0[kept, column[kept]] = value[kept]
+        k0 = digit_matrix(field, k0)
+        stacked = []
+        for g in general:
+            a = np.zeros((size, size), dtype=np.int64)
+            for col, entries in reference_columns(
+                    field, n, g, basis, index, range(size)).items():
+                a[list(entries), col] = list(entries.values())
+            moved = digit_matrix(field, a) - np.eye(size * field.e,
+                                                    dtype=np.int64)
+            stacked.append(moved @ k0 % field.p)
+        want = dense_nullspace(np.vstack(stacked), field.p)
+        assert np.array_equal(m, want), (k, r)
 
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_poly_steps_match_the_compositions_order(n):
+    # x_j times each degree-(k-1) monomial, ranked by stars and bars
     for k in range(1, 9):
         rank = {exp: i for i, exp in enumerate(algebra._compositions(k, n))}
-        want = [[rank[b[:j] + (b[j] + 1,) + b[j + 1:]]
-                 for b in algebra._compositions(k - 1, n)] for j in range(n)]
-        up, odd = fixedpoint._poly_steps(n, k)
-        assert up.tolist() == want
-        assert not odd.any()
+        below = fixedpoint._exponent_rows(n, k - 1)
+        for j in range(n):
+            up = below.copy()
+            up[:, j] += 1
+            assert fixedpoint._exponent_rank(up).tolist() == \
+                [rank[tuple(b)] for b in up.tolist()]
         assert fixedpoint._exponent_rows(n, k).tolist() == \
             [list(exp) for exp in algebra._compositions(k, n)]
 
@@ -548,86 +552,59 @@ def reference_columns(field, n, g, basis, index, needed):
     return cols
 
 
-def _blocks(n, d_max):
-    """(exps, words, basis, index) of every block up to degree d_max, in
-    the solver's order."""
-    for d in range(d_max + 1):
-        for k, r in fixedpoint._block_shapes(n, d):
-            exps = list(algebra._compositions(k, n))
-            words = list(combinations(range(1, n + 1), r))
-            basis = [(exp, ext) for ext in words for exp in exps]
-            yield exps, words, basis, {be: i for i, be in enumerate(basis)}
+def _blocks(n, shapes):
+    """(exps, words, basis, index) of each listed block shape (k, r), or of
+    every block up to degree `shapes` if it is an int, in the solver's
+    order."""
+    if isinstance(shapes, int):
+        shapes = [shape for d in range(shapes + 1)
+                  for shape in fixedpoint._block_shapes(n, d)]
+    for k, r in shapes:
+        exps = list(algebra._compositions(k, n))
+        words = list(combinations(range(1, n + 1), r))
+        basis = [(exp, ext) for ext in words for exp in exps]
+        yield exps, words, basis, {be: i for i, be in enumerate(basis)}
 
 
-@pytest.mark.parametrize("pres, d_max", [
-    (case_group("e6_4"), 12),
-    (case_group("e8_p5_3"), 14),
-    (gens_standard("gl", 3, F9), 12),
-    (gens_standard("gl", 3, F25), 8),
-    (gens_standard("sl", 2, F125), 10),
-], ids=["e6_4", "e8_p5_3", "gl(3,9)", "gl(3,25)", "sl(2,125)"])
-def test_block_columns_match_tensor_act(pres, d_max):
-    field, n = pres.field, pres.n
-    _, general = fixedpoint._split_generators(pres.generators)
+@pytest.mark.parametrize("gens, shapes", [
+    (case_group("e6_4").generators, 12),
+    (case_group("e8_p5_3").generators, 14),
+    (gens_standard("gl", 3, F9).generators, 12),
+    (gens_standard("gl", 3, F25).generators, 8),
+    (gens_standard("sl", 2, F125).generators, 10),
+    # degree 4's polynomial block: 32 variables of 2 bits each, so the
+    # packed monomials pass 62 bits
+    (gens_standard("sl", 32, F3).generators[:2], [(2, 0)]),
+], ids=["e6_4", "e8_p5_3", "gl(3,9)", "gl(3,25)", "sl(2,125)", "sl(32,3)"])
+def test_block_columns_match_tensor_act(gens, shapes):
+    # (A_g - 1) K0 from one substitution of K0's support, against one
+    # tensor_act per position of that support
+    field, n = gens[0].field, gens[0].n
+    _, general = fixedpoint._split_generators(gens)
     assert general
-    for exps, words, basis, index in _blocks(n, d_max):
+    for exps, words, basis, index in _blocks(n, shapes):
         k, r = sum(exps[0]), len(words[0])
+        k0, _ = fixedpoint._block_kernel(field, n, gens, k, r)
+        column, value, _ = k0
+        support = np.flatnonzero(column >= 0).tolist()
         for g in general:
-            rows, cols, raws = fixedpoint._block_action(field, g, k, r)
-            assert len(set(zip(rows.tolist(), cols.tolist()))) == len(rows)
-            got = {}
-            for row, col, raw in zip(rows.tolist(), cols.tolist(),
-                                     raws.tolist()):
-                got.setdefault(col, {})[row] = raw
-            assert got == reference_columns(field, n, g, basis, index,
-                                            range(len(basis)))
-
-
-def level_entries(level):
-    """{(row, col): raw} of an action level, checking its order."""
-    rows, cols, raws = (a.tolist() for a in level)
-    assert sorted(zip(cols, rows)) == list(zip(cols, rows))
-    return {(row, col): raw for row, col, raw in zip(rows, cols, raws)}
-
-
-@pytest.mark.parametrize("field", ALL_FIELDS, ids=repr)
-def test_action_levels_match_per_monomial_substitution(field):
-    # each level is built from the one below; the per-monomial
-    # substitution and the per-word exterior image are the oracles
-    rng = random.Random(field.q)
-    n = 3
-    gens = [transvection(field, n, 1, 2, field.from_raw(field.q - 1))]
-    while len(gens) < 4:
-        g = full_invertible(field, n, rng.randint)
-        if g is not None:
-            gens.append(g)
-    for g in gens:
-        rows = g.inverse_rows()
-        for k in range(8):
-            exps = list(algebra._compositions(k, n))
-            rank = {exp: i for i, exp in enumerate(exps)}
-            want = {(rank[exp2], a): raw for a, exp in enumerate(exps)
-                    for exp2, raw in Polynomial._make(
-                        field, n, {exp: field.one}).substitute_linear(
-                            rows).terms.items()}
-            assert level_entries(fixedpoint._level(field, rows, k, False)) \
-                == want, k
-        for r in range(n + 1):
-            words = list(combinations(range(1, n + 1), r))
-            rank = {word: i for i, word in enumerate(words)}
-            want = {(rank[word2], w): raw for w, word in enumerate(words)
-                    for word2, raw in algebra._exterior_image(
-                        field, rows, word).items()}
-            assert level_entries(fixedpoint._level(field, rows, r, True)) \
-                == want, r
+            rows, cols, raws = fixedpoint._moved(
+                field, g, fixedpoint._exponent_rows(n, k), r, k0)
+            got = dict(zip(zip(rows.tolist(), cols.tolist()), raws.tolist()))
+            assert len(got) == len(rows) and 0 not in got.values()
+            want = {}
+            for pos, entries in reference_columns(field, n, g, basis, index,
+                                                  support).items():
+                c, v = int(column[pos]), int(value[pos])
+                entries[pos] = field.sub(entries.get(pos, 0), field.one)
+                for row, raw in entries.items():
+                    want[row, c] = field.add(want.get((row, c), 0),
+                                             field.mul(raw, v))
+            assert got == {at: raw for at, raw in want.items() if raw}
 
 
 def test_cached_actions_are_read_only_and_bounded():
-    g = transvection(F9, 3, 1, 2, F9.from_raw(3))
-    rows = g.inverse_rows()
-    cached = [*fixedpoint._level(F9, rows, 4, False),
-              *fixedpoint._level(F9, rows, 2, True),
-              *fixedpoint._poly_steps(3, 4), *fixedpoint._word_steps(3, 2)]
+    cached = []
     for field in ALL_FIELDS:
         cached += [field.digit_table, field.product_array, field.exp_array,
                    field.log_array]
@@ -636,9 +613,6 @@ def test_cached_actions_are_read_only_and_bounded():
     for a in cached:
         with pytest.raises(ValueError):
             a[...] = 0
-    for cache in (fixedpoint._levels, fixedpoint._poly_steps,
-                  fixedpoint._word_steps):
-        assert cache.cache_info().maxsize is not None
 
 
 def reference_cycle_kernel(field, perm, scale):
@@ -682,8 +656,8 @@ def test_orbit_kernel_of_one_generator_spans_its_cycle_kernel(gens, d_max):
     assert len(monomial) >= 2
     for exps, words, _, _ in _blocks(n, d_max):
         for g in monomial:
-            move = fixedpoint._monomial_permutation(field, g, sum(exps[0]),
-                                                    len(words[0]))
+            move = fixedpoint._monomial_permutation(
+                field, g, np.array(exps), len(words[0]))
             column, value, width = fixedpoint._orbit_kernel(field, [move])
             got = np.zeros((len(column), width), dtype=np.int64)
             kept = np.flatnonzero(column >= 0)
@@ -734,7 +708,7 @@ def test_monomial_permutation_matches_per_position_loop(gens, d_max):
     for exps, words, basis, index in _blocks(n, d_max):
         for g in monomial:
             perm, scale = fixedpoint._monomial_permutation(
-                field, g, sum(exps[0]), len(words[0]))
+                field, g, np.array(exps), len(words[0]))
             want_perm, want_scale = reference_monomial_permutation(
                 field, basis, index, g)
             assert np.array_equal(perm, want_perm)
