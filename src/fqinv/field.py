@@ -15,7 +15,10 @@ product tables, and the exponent and logarithm tables of the least raw of
 order q - 1, which give inverses and powers.  So every raw operation
 is one table lookup, for prime and extension fields alike, and no other
 module builds a field table: they read these, which are tuples or
-read-only arrays.  Arrays of F_q values add up through the same digit
+read-only arrays.  The q x q arrays sum_array and product_array hold
+a + b and a * b at [a, b], so a row operation on raw arrays is a gather
+from each (the solver's elimination in fixedpoint), and row p - 1 of
+product_array negates.  Arrays of F_q values add up through the same digit
 rows: FieldSpec.sum_duplicates sums the raws of equal int64 keys digit by
 digit, mod p, and is the one bulk F_q sum that the polynomial kernels
 (algebra) and the solver (fixedpoint) share.  All hot loops in the library
@@ -115,8 +118,8 @@ class FieldSpec:
     """Field description plus raw-int arithmetic.  Immutable once built."""
 
     __slots__ = ("p", "e", "q", "modulus", "digit_table", "product_array",
-                 "mul_table", "add_table", "exp_array", "log_array", "_neg",
-                 "_exp", "_log", "_coeffs")
+                 "sum_array", "mul_table", "add_table", "exp_array",
+                 "log_array", "_neg", "_exp", "_log", "_coeffs")
 
     def __init__(self, p: int, e: int, modulus):
         self.p = p
@@ -135,6 +138,7 @@ class FieldSpec:
             shifted[:, 1:] = prev[:, :-1]
             regular[:, i] = (shifted - prev[:, -1:] * modulus[:e]) % p
         products = (digits @ regular) % p @ place
+        sums = (digits[:, None] + digits) % p @ place
         # powers[k, a] = a^k, k < q - 1: the least raw a > 0 whose powers
         # hit 1 only at k = 0 has order q - 1
         powers = np.ones((q - 1, q), dtype=np.int64)
@@ -143,15 +147,15 @@ class FieldSpec:
         exp = powers[:, 1 + np.argmin((powers[1:, 1:] == 1).any(axis=0))]
         log = np.zeros(q, dtype=np.int64)
         log[exp] = np.arange(q - 1)
-        for table in (regular, products, exp, log):
+        for table in (regular, products, sums, exp, log):
             table.flags.writeable = False
         self.digit_table = regular
         self.product_array = products
+        self.sum_array = sums
         self.exp_array = exp
         self.log_array = log
         self.mul_table = tuple(products.ravel().tolist())
-        self.add_table = tuple(((digits[:, None] + digits) % p @ place)
-                               .ravel().tolist())
+        self.add_table = tuple(sums.ravel().tolist())
         self._neg = tuple((-digits % p @ place).tolist())
         self._exp = tuple(exp.tolist())
         self._log = tuple(log.tolist())

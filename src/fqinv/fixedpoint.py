@@ -10,18 +10,18 @@ their common fixed vectors are the orbit sums whose scalars agree, one
 column per such orbit (the permutation-module basis of Derksen & Kemper,
 Computational Invariant Theory, section 3).  The other generators cut
 that kernel down together: their operators times the orbit kernel are
-stacked into one sparse matrix, whose kernel over F_p, times the orbit
-kernel, is the fixed space.  Rows with a single live entry are peeled
-first, since their columns vanish on the kernel (structured Gaussian
-elimination, LaMacchia & Odlyzko, CRYPTO '90), and a column one
-generator forces to zero can leave such rows in another's; only what is
-left is made dense and eliminated exactly, once per block.  A
-generator's (A_g - 1) times the orbit kernel needs g's action on the
-orbit kernel's support only, and that comes from algebra's substitution
-kernel in one call per generator and block; a monomial generator's
-permutation is read off the exponent arrays.  Nothing is kept between
-blocks.  Every elimination runs over F_p on the base-p digits of
-F_q-vectors.
+stacked into one sparse matrix, whose kernel, times the orbit kernel, is
+the fixed space.  Rows with a single live entry are peeled first, since
+their columns vanish on the kernel (structured Gaussian elimination,
+LaMacchia & Odlyzko, CRYPTO '90), and a column one generator forces to
+zero can leave such rows in another's; only what is left is made dense
+and eliminated exactly, once per block.  A generator's (A_g - 1) times
+the orbit kernel needs g's action on the orbit kernel's support only, and
+that comes from algebra's substitution kernel in one call per generator
+and block; a monomial generator's permutation is read off the exponent
+arrays.  Nothing is kept between blocks.  Every elimination runs over F_q
+on raw values, and fixed_dim only counts the free columns: fixed_basis
+alone builds kernel vectors.
 
 The case table has one row per case kind.  A row ties the kind's group
 presentation to the free-module shape of its invariant ring (polynomial
@@ -49,6 +49,7 @@ from .dickson import dickson_c, dickson_e, index_subsets, o_poly, theorem_basis
 from .errors import (
     ArityTooSmall,
     FeasibilityCapExceeded,
+    FieldError,
     InvalidModuleDescription,
     NegativeDegree,
     NotInvariant,
@@ -95,17 +96,18 @@ def monomial_basis(field: FieldSpec, n: int, d: int):
     return out
 
 
-# -- exact linear algebra over F_p ------------------------------------------
+# -- exact linear algebra over F_q ------------------------------------------
 #
-# Every array the solver eliminates holds F_p values.  An F_q-vector of
-# length N is the vector of its N*e base-p digits, digit k of entry j at
-# j*e + k, and an F_q-subspace is the F_p-span of the digits of t^i * v,
-# i < e, for v in it: the restriction of scalars that group_order_bfs takes
-# too.  So an F_p-dimension is e times the F_q-dimension.
+# Every array the solver eliminates holds raw F_q values, and a row
+# operation is one flat gather from each of the field's q x q tables.
 
-def _eliminate(a, p):
-    """Reduced row echelon form of the int64 array a over F_p, computed in
-    a itself; returns the pivot columns, one per leading nonzero row."""
+def _eliminate(a, field):
+    """Reduced row echelon form of the raw int64 array a over F_q,
+    computed in a itself; returns the pivot columns, one per leading
+    nonzero row."""
+    q = field.q
+    add, mul = field.sum_array.ravel(), field.product_array.ravel()
+    neg = field.product_array[field.p - 1]
     m, k = a.shape
     pivots = []
     for col in range(k):
@@ -116,29 +118,31 @@ def _eliminate(a, p):
         if nz.size == 0:
             continue
         r0 = row + nz[0]
-        if r0 != row:
-            a[[row, r0]] = a[[r0, row]]
-        a[row] = (a[row] * pow(int(a[row, col]), p - 2, p)) % p
-        factors = a[:, col].copy()
-        factors[row] = 0
-        hit = np.nonzero(factors)[0]
+        a[[row, r0]] = a[[r0, row]]
+        # the pivot row is zero before col, so the row operations start
+        # there: a[hit] - factors[hit] * a[row], one gather from each table
+        a[row, col:] = mul[field.inv(int(a[row, col])) * q + a[row, col:]]
+        hit = np.flatnonzero(a[:, col])
+        hit = hit[hit != row]
         if hit.size:
-            a[hit] = (a[hit] - np.outer(factors[hit], a[row])) % p
+            at = a[hit, col:] * q
+            at += mul[neg[a[hit, col], None] * q + a[row, col:]]
+            a[hit, col:] = add[at]
         pivots.append(col)
     return pivots
 
 
-def _kernel(rows, cols, vals, width, p):
-    """Kernel over F_p of the matrix with `width` columns whose nonzero
-    entries are vals at the distinct positions (rows, cols); the reduced
-    basis (the identity on the free columns) as the columns of an int64
-    array.  A row with one live entry forces that entry's column to zero
-    in every kernel vector, so such columns are peeled, round after round,
-    until no row holds a single live entry (the first rule of structured
-    Gaussian elimination, LaMacchia & Odlyzko, CRYPTO '90); only the rows
-    and columns left are made dense and eliminated.  A peeled column is
-    never free, so the free columns and the basis are those of the whole
-    matrix."""
+def _kernel(rows, cols, raws, width, field):
+    """Echelon form (kept, pivots, reduced) of the matrix over F_q with
+    `width` columns whose nonzero entries are raws at the distinct
+    positions (rows, cols).  A row with one live entry forces that
+    entry's column to zero in every kernel vector, so such columns are
+    peeled, round after round, until no row holds a single live entry (the
+    first rule of structured Gaussian elimination, LaMacchia & Odlyzko,
+    CRYPTO '90); only the rows and the columns `kept` are made dense and
+    eliminated, to the reduced rows with pivots at `pivots` among kept.
+    A peeled column is never free, so the kernel has dimension
+    len(kept) - len(pivots)."""
     live = np.ones(width, dtype=bool)
     while True:
         single = np.bincount(rows)[rows] == 1
@@ -146,39 +150,34 @@ def _kernel(rows, cols, vals, width, p):
             break
         live[cols[single]] = False
         keep = live[cols]
-        rows, cols, vals = rows[keep], cols[keep], vals[keep]
+        rows, cols, raws = rows[keep], cols[keep], raws[keep]
     kept = np.flatnonzero(live)
     at, rows = np.unique(rows, return_inverse=True)
     a = np.zeros((len(at), len(kept)), dtype=np.int64)
-    a[rows, np.searchsorted(kept, cols)] = vals
-    pivots = _eliminate(a, p)
+    a[rows, np.searchsorted(kept, cols)] = raws
+    pivots = _eliminate(a, field)
+    return kept, pivots, a[:len(pivots)]
+
+
+def _kernel_basis(field, width, kept, pivots, reduced):
+    """The reduced kernel basis of _kernel's echelon form, as the columns
+    of a width x (len(kept) - len(pivots)) array: the identity on the
+    free columns."""
     free = np.delete(np.arange(len(kept)), pivots)
     out = np.zeros((width, len(free)), dtype=np.int64)
     out[kept[free], np.arange(len(free))] = 1
-    out[kept[pivots]] = (-a[:len(pivots), free]) % p
+    out[kept[pivots]] = field.product_array[field.p - 1][reduced[:, free]]
     return out
-
-
-def _canonical_rows(a, field):
-    """Reduced row echelon form over F_q, as raw rows sorted by pivot
-    position, of the F_q-stable span of the digit rows of a, which it
-    overwrites.  Over F_p each F_q pivot position holds e pivots, one per
-    digit, and the row whose pivot is digit 0 is the digits of the F_q
-    row."""
-    e = field.e
-    pivots = np.array(_eliminate(a, field.p), dtype=np.int64)
-    rows = a[:len(pivots)][pivots % e == 0]
-    return rows.reshape(-1, a.shape[1] // e, e) @ field.p ** np.arange(e)
 
 
 # -- per-block solver --------------------------------------------------------
 #
 # A block's fixed vectors are K0 M: K0 the orbit kernel of the monomial
-# generators, at most one entry per position, and M over F_p on K0's digit
-# columns, the kernel of the digits of every other generator's sparse
-# (A_g - 1) K0, stacked.  A column that one generator's singleton row
-# forces to zero can leave singleton rows in another's, so the peeling in
-# _kernel cascades across generators before anything is made dense.
+# generators, at most one entry per position, and M on K0's columns, the
+# kernel of every other generator's sparse (A_g - 1) K0, stacked.  A
+# column that one generator's singleton row forces to zero can leave
+# singleton rows in another's, so the peeling in _kernel cascades across
+# generators before anything is made dense.
 
 def _split_generators(gens):
     """The monomial generators, which map every variable to a scalar
@@ -316,39 +315,12 @@ def _moved(field, g, exps, r, k0):
     return keys // width, keys % width, raws
 
 
-def _digits(field, rows, cols, raws):
-    """The F_q entries (rows, cols, raws) in digit form: F_p entries
-    (rows, cols, vals), vals nonzero, at distinct positions if the F_q
-    entries are."""
-    digits = field.digit_table[raws]   # entry, i, k: t^i -> k
-    entry, i, k = np.nonzero(digits)
-    return (rows[entry] * field.e + k, cols[entry] * field.e + i,
-            digits[entry, i, k])
-
-
-def _sparse_product(field, rows, cols, raws, m, width):
-    """The F_q entries (rows, cols, raws) in digit form, times the F_p
-    array m (None: the identity on `width` columns), on the digit rows
-    that hold an entry; returns those rows and the product."""
-    rows, cols, vals = _digits(field, rows, cols, raws)
-    at, slot = np.unique(rows, return_inverse=True)
-    out = np.zeros((len(at), width if m is None else m.shape[1]),
-                   dtype=np.int64)
-    if m is None:
-        out[slot, cols] = vals
-        return at, out
-    # at most len(rows) products below p^2 per sum: no overflow
-    np.add.at(out, slot, vals[:, None] * m[cols])
-    return at, out % field.p
-
-
 def _block_kernel(field, n, gens, k, r):
-    """Fixed vectors of the (poly degree, ext length) block, as (K0, M):
-    K0 = (column, value, width) the orbit kernel of the monomial
-    generators (the identity if there is none), M the kernel over F_p, on
-    K0's digit columns, of the digits of every other generator's
-    (A_g - 1) K0 stacked, generator i's rows offset by i * size * e (None
-    if there is no other generator or K0 is empty)."""
+    """Fixed vectors of the (poly degree, ext length) block, as K0 and the
+    echelon form of M: K0 = (column, value, width) the orbit kernel of the
+    monomial generators (the identity if there is none), and M the kernel
+    on K0's columns of every other generator's (A_g - 1) K0 stacked,
+    generator i's rows offset by i * size, as _kernel hands it back."""
     size = _block_size(n, k, r)
     monomial, general = _split_generators(gens)
     exps = _exponent_rows(n, k)
@@ -356,13 +328,12 @@ def _block_kernel(field, n, gens, k, r):
     if monomial:
         k0 = _orbit_kernel(field, [_monomial_permutation(field, g, exps, r)
                                    for g in monomial])
-    if not general or k0[2] == 0:
-        return k0, None
-    rows, cols, vals = zip(*(_digits(field, *_moved(field, g, exps, r, k0))
-                             for g in general))
-    rows = [at + i * size * field.e for i, at in enumerate(rows)]
-    return k0, _kernel(np.concatenate(rows), np.concatenate(cols),
-                       np.concatenate(vals), k0[2] * field.e, field.p)
+    stacked = np.zeros((3, 0), dtype=np.int64)      # rows, cols, raws
+    for i, g in enumerate(general if k0[2] else ()):
+        rows, cols, raws = _moved(field, g, exps, r, k0)
+        stacked = np.concatenate((stacked, [rows + i * size, cols, raws]),
+                                 axis=1)
+    return k0, _kernel(*stacked, k0[2], field)
 
 
 def _resolve_group(group):
@@ -394,8 +365,8 @@ def fixed_dim(group, d: int, exterior_degree=None) -> int:
     for k, r in _block_shapes(n, d):
         if exterior_degree is not None and r != exterior_degree:
             continue
-        k0, m = _block_kernel(field, n, gens, k, r)
-        total += k0[2] if m is None else m.shape[1] // field.e
+        _, (kept, pivots, _) = _block_kernel(field, n, gens, k, r)
+        total += len(kept) - len(pivots)
     return total
 
 
@@ -404,48 +375,39 @@ def fixed_basis(group, d: int):
 
     Vectors are the reduced row echelon form of the kernel with pivots in
     monomial_basis order; every element is checked against the generators
-    before it is returned."""
+    before it is returned.  The blocks hold disjoint runs of positions in
+    that order, so the echelon form is each block's in turn."""
     field, n, gens = _resolve_group(group)
     (d,) = _ints((d,), "degree")
     if d < 0:
         raise NegativeDegree("need d >= 0")
     _check_cap(n, d)
-    blocks = []
-    offset = 0
-    dims = 0
-    for k, r in _block_shapes(n, d):
-        (column, value, width), m = _block_kernel(field, n, gens, k, r)
-        pos = np.flatnonzero(column >= 0)
-        # the digit kernel K0 M, on the digit rows where K0 has an entry
-        at, kernel = _sparse_product(field, pos, column[pos], value[pos], m,
-                                     width * field.e)
-        blocks.append((offset * field.e + at, kernel))
-        offset += len(column)
-        dims += kernel.shape[1]
-    if dims == 0:
-        return []
-    rows = np.zeros((dims, offset * field.e), dtype=np.int64)
-    at = 0
-    for digit_rows, kernel in blocks:
-        width = kernel.shape[1]
-        rows[at:at + width, digit_rows] = kernel.T
-        at += width
-    rows = _canonical_rows(rows, field)
-    full_basis = monomial_basis(field, n, d)
     out = []
-    for vec in rows:
-        parts = {}
-        for pos in np.nonzero(vec)[0]:
-            exp, ext = full_basis[pos]
-            parts.setdefault(ext, {})[exp] = int(vec[pos])
-        # the entries are raw field values: the coercing Polynomial
-        # constructor would fold them into the prime subfield
-        el = TensorElement(field, n,
-                           {ext: Polynomial._make(field, n, terms)
-                            for ext, terms in parts.items()})
-        if not is_invariant(el, gens):
-            raise NotInvariant("kernel vector failed the invariance check")
-        out.append(el)
+    for k, r in _block_shapes(n, d):
+        (column, value, width), echelon = _block_kernel(field, n, gens, k, r)
+        m = _kernel_basis(field, width, *echelon)
+        pos = np.flatnonzero(column >= 0)
+        # K0 M on K0's support, one vector a row: position i is value[i]
+        # times row column[i] of M
+        vecs = field.product_array.ravel()[
+            (value[pos, None] * field.q + m[column[pos]]).T]
+        exps = _exponent_rows(n, k)
+        words = list(combinations(range(1, n + 1), r))
+        for vec in vecs[:len(_eliminate(vecs, field))]:
+            parts = {}
+            for at in np.flatnonzero(vec):
+                # block position word * len(exps) + i: exps[i] on that word
+                word, i = divmod(int(pos[at]), len(exps))
+                terms = parts.setdefault(words[word], {})
+                terms[tuple(exps[i].tolist())] = int(vec[at])
+            # the entries are raw field values: the coercing Polynomial
+            # constructor would fold them into the prime subfield
+            el = TensorElement(field, n,
+                               {ext: Polynomial._make(field, n, terms)
+                                for ext, terms in parts.items()})
+            if not is_invariant(el, gens):
+                raise NotInvariant("kernel vector failed the invariance check")
+            out.append(el)
     return out
 
 
@@ -737,10 +699,10 @@ def parse_case(text: str) -> Case:
     n, q = int(m.group(2)), int(m.group(3))
     try:
         field = make_field(q)
-    except Exception as exc:
+    except FieldError as exc:
         raise UnknownCase(
-            f"case labels take a prime q, got {q}; build extension-field "
-            f"presentations with gens_standard") from exc
+            f"case {text!r}: {exc}; case labels take a prime field, and "
+            f"gens_standard builds extension-field presentations") from exc
     if n < row.min_n:
         raise UnknownCase(f"case {text!r}: size out of range")
     return Case(label, kind, field, n)

@@ -180,6 +180,8 @@ def test_usage_errors_exit_two(capsys):
     ["mui", "--n", "3", "--p", "3", "--I", "0", "--det-form", "--r", "1"],
     ["order", "--case", "e7_4", "--bfs", "--cap", "-5"],
     ["order", "--case", "e7_4", "--bfs", "--cap", "0"],
+    # 127 is prime: the label is refused for the field cap q <= 125
+    ["verify", "--case", "sl(2,127)"],
 ], ids=" ".join)
 def test_bad_arguments_exit_two_with_one_line(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -220,6 +222,18 @@ def test_fixed_dim_at_a_high_degree_fits_one_gigabyte():
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["dim"] == hilbert_coeff(
         module_description("gl(3,7)"), 598)
+
+
+def test_fixed_dim_counts_a_wide_block_within_one_gigabyte():
+    # g0(26,3) has no monomial generator: degree 4's block of 4-words has
+    # 14 950 positions and a 12 650-dimensional fixed space, whose dense
+    # basis alone would take 1.4 GiB; fixed_dim only counts it.  The series
+    # truncated to basis degrees <= 4 is 325 + 300 * 25 + 12 650
+    proc = run_module("fqinv", "fixed-dim", "--case", "g0(26,3)", "--degree",
+                      "4", preexec_fn=_one_gigabyte_of_address_space,
+                      OPENBLAS_NUM_THREADS="1")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["dim"] == 20475 == 325 + 300 * 25 + 12650
 
 
 def stdout_under_hash_seeds(*argv, blas_threads=()):

@@ -295,6 +295,16 @@ def test_tables_match_reference_arithmetic(field):
 
 
 @pytest.mark.parametrize("field", TABLE_FIELDS, ids=repr)
+def test_sum_array_holds_the_digit_sums_read_only(field):
+    q = field.q
+    assert field.sum_array.tolist() == [
+        [reference_add(field, a, b) for b in range(q)] for a in range(q)]
+    assert field.add_table == tuple(field.sum_array.ravel().tolist())
+    with pytest.raises(ValueError):
+        field.sum_array[0, 0] = 1
+
+
+@pytest.mark.parametrize("field", TABLE_FIELDS, ids=repr)
 def test_gl_diagonal_uses_least_raw_of_order_q_minus_1(field):
     q = field.q
     least = next(a for a in range(1, q)

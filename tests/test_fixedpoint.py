@@ -30,6 +30,7 @@ from fqinv import (
     gens_standard,
     hilbert_coeff,
     is_invariant,
+    make_field,
     module_description,
     monomial_basis,
     parse_case,
@@ -193,21 +194,12 @@ def rref_rows(rows, field):
     """Reduced row echelon form over F_q of raw rows; rows sorted by pivot
     position."""
     a = np.array(rows, dtype=np.int64)
-    if a.size == 0:
-        return a
-    # digit row r*e + i of the span holds the digits of t^i times row r
-    r, c = np.nonzero(a)
-    at, digits = fixedpoint._sparse_product(field, c, r, a[r, c], None,
-                                            len(a) * field.e)
-    span = np.zeros((a.shape[1] * field.e, len(a) * field.e), dtype=np.int64)
-    span[at] = digits
-    return fixedpoint._canonical_rows(np.ascontiguousarray(span.T), field)
+    return a[:len(fixedpoint._eliminate(a, field))]
 
 
 @pytest.mark.parametrize("field", ALL_FIELDS, ids=repr)
 def test_rref_rows_match_gauss_jordan_over_f_q(field):
-    # the solver reduces base-p digit rows over F_p and reads the F_q rows
-    # back; sparse random rows with repeats and multiples give rank drops
+    # sparse random rows with repeats and multiples give rank drops
     rng = np.random.default_rng(field.q)
     for _ in range(40):
         m, width = rng.integers(1, 7), rng.integers(1, 8)
@@ -221,51 +213,170 @@ def test_rref_rows_match_gauss_jordan_over_f_q(field):
         assert got.tolist() == want
 
 
-def reference_nullspace(a, p):
+# -- the digit route, kept as an oracle ---------------------------------------
+#
+# The solver once eliminated over F_p on base-p digits: an F_q matrix
+# became the F_p matrix of its digits, e x e blocks of it per entry, and
+# F_q rows and kernels were read back from the digit-0 rows and columns.
+
+def eliminate_mod_p(a, p):
+    """Reduced row echelon form of the int64 array a over F_p by modular
+    arithmetic, computed in a itself; returns the pivot columns."""
+    m, k = a.shape
+    pivots = []
+    for col in range(k):
+        row = len(pivots)
+        if row == m:
+            break
+        nz = np.nonzero(a[row:, col])[0]
+        if nz.size == 0:
+            continue
+        r0 = row + nz[0]
+        if r0 != row:
+            a[[row, r0]] = a[[r0, row]]
+        a[row] = (a[row] * pow(int(a[row, col]), p - 2, p)) % p
+        factors = a[:, col].copy()
+        factors[row] = 0
+        hit = np.nonzero(factors)[0]
+        if hit.size:
+            a[hit] = (a[hit] - np.outer(factors[hit], a[row])) % p
+        pivots.append(col)
+    return pivots
+
+
+def digit_matrix(field, a):
+    """The F_p matrix of the raw F_q array a on base-p digits: entry
+    (j, c) becomes the e x e block whose (k, i) entry is digit k of
+    t^i * a[j, c], so a product of F_q arrays is the product of theirs."""
+    e = field.e
+    return field.digit_table[a].transpose(0, 3, 1, 2).reshape(
+        a.shape[0] * e, a.shape[1] * e)
+
+
+def raw_columns(field, digits):
+    """The raw F_q array whose digit matrix has the digit-0 columns of
+    `digits`: column c of it is read from column c * e."""
+    e = field.e
+    cols = digits[:, ::e]
+    return np.einsum("rkc,k->rc",
+                     cols.reshape(len(cols) // e, e, cols.shape[1]),
+                     field.p ** np.arange(e))
+
+
+def digit_rref(rows, field):
+    """rref_rows by the digit route: digit row r * e + i holds the digits
+    of t^i times row r, and over F_p each F_q pivot position holds e
+    pivots, one per digit; the row whose pivot is digit 0 is the digits of
+    the F_q row.  Returns (pivots, rows)."""
+    a = np.array(rows, dtype=np.int64)
+    span = np.ascontiguousarray(digit_matrix(field, a.T).T)
+    pivots = np.array(eliminate_mod_p(span, field.p), dtype=np.int64)
+    digit0 = pivots % field.e == 0
+    out = span[:len(pivots)][digit0].reshape(-1, a.shape[1], field.e)
+    return (pivots[digit0] // field.e).tolist(), \
+        out @ field.p ** np.arange(field.e)
+
+
+def digit_nullspace(a, field):
+    """Reduced kernel basis of the raw F_q array a by the digit route: the
+    kernel over F_p of its digit matrix, whose free columns come e to an
+    F_q column, read back from the digit-0 ones."""
+    digits = digit_matrix(field, a)
+    digits = digits[digits.any(axis=1)]
+    pivots = eliminate_mod_p(digits, field.p)
+    free = np.delete(np.arange(digits.shape[1]), pivots)
+    out = np.zeros((digits.shape[1], len(free)), dtype=np.int64)
+    out[free, np.arange(len(free))] = 1
+    out[pivots] = (-digits[:len(pivots), free]) % field.p
+    return raw_columns(field, out)
+
+
+def kernel_basis(rows, cols, raws, width, field):
+    """The reduced kernel basis that fixedpoint._kernel's echelon form
+    gives."""
+    return fixedpoint._kernel_basis(
+        field, width, *fixedpoint._kernel(rows, cols, raws, width, field))
+
+
+def planted_rank_drops(rng, field, m, k, density):
+    """A random m x k raw F_q array with entries nonzero at `density`; past
+    two rows, later rows are replaced by sums of multiples of earlier ones
+    now and then, so that the rank drops."""
+    a = rng.integers(1, field.q, (m, k))
+    a[rng.random((m, k)) >= density] = 0
+    for i in range(2, m):
+        if rng.random() < 0.4:
+            row = np.zeros(k, dtype=np.int64)
+            for j in rng.choice(i, size=2):
+                scaled = field.product_array[int(rng.integers(field.q)), a[j]]
+                row = field.sum_array[row, scaled]
+            a[i] = row
+    return a
+
+
+@pytest.mark.parametrize("field", ALL_FIELDS + [make_field(113)], ids=repr)
+@pytest.mark.parametrize("density", (0.15, 0.5, 0.9))
+def test_eliminate_and_kernel_match_the_digit_route(field, density):
+    rng = np.random.default_rng([field.q, int(density * 100)])
+    for _ in range(25):
+        m, k = rng.integers(1, 9), rng.integers(1, 9)
+        a = planted_rank_drops(rng, field, m, k, density)
+        reduced = a.copy()
+        pivots = fixedpoint._eliminate(reduced, field)
+        want_pivots, want_rows = digit_rref(a, field)
+        assert pivots == want_pivots
+        assert np.array_equal(reduced[:len(pivots)], want_rows)
+        assert not reduced[len(pivots):].any()
+        rows, cols = np.nonzero(a)
+        got = kernel_basis(rows, cols, a[rows, cols], k, field)
+        assert np.array_equal(got, digit_nullspace(a, field))
+        assert got.shape[1] == k - len(pivots)
+
+
+def reference_nullspace(a, field):
     """Kernel columns read off the reduced echelon form one free column
     and one pivot at a time."""
     a = a.copy()
     k = a.shape[1]
-    pivots = fixedpoint._eliminate(a, p)
+    pivots = fixedpoint._eliminate(a, field)
     free = [c for c in range(k) if c not in pivots]
     out = np.zeros((k, len(free)), dtype=np.int64)
     for j, f in enumerate(free):
         out[f, j] = 1
         for r, c in enumerate(pivots):
-            out[c, j] = (-a[r, f]) % p
+            out[c, j] = field.neg(int(a[r, f]))
     return out
 
 
-def dense_nullspace(a, p):
-    """Kernel basis of the int64 array a over F_p, by eliminating all of
-    its nonzero rows at once, column by column: the solver's route before
-    it peeled singleton rows."""
+def dense_nullspace(a, field):
+    """Kernel basis of the raw int64 array a over F_q, by eliminating all
+    of its nonzero rows at once, column by column: the solver's route
+    before it peeled singleton rows."""
     a = a[a.any(axis=1)]
-    pivots = fixedpoint._eliminate(a, p)
-    free = np.delete(np.arange(a.shape[1]), pivots)
-    out = np.zeros((a.shape[1], len(free)), dtype=np.int64)
-    out[free, np.arange(len(free))] = 1
-    out[pivots] = (-a[:len(pivots), free]) % p
-    return out
+    pivots = fixedpoint._eliminate(a, field)
+    return fixedpoint._kernel_basis(field, a.shape[1],
+                                    np.arange(a.shape[1]), pivots,
+                                    a[:len(pivots)])
 
 
-def peeled_kernel(a, p):
-    """fixedpoint._kernel of the dense int64 array a, from its nonzero
-    entries."""
+def peeled_kernel(a, field):
+    """The kernel basis of fixedpoint._kernel of the dense int64 array a,
+    from its nonzero entries."""
     rows, cols = np.nonzero(a)
-    return fixedpoint._kernel(rows, cols, a[rows, cols], a.shape[1], p)
+    return kernel_basis(rows, cols, a[rows, cols], a.shape[1], field)
 
 
 @pytest.mark.parametrize("p", (3, 5, 113))
 def test_nullspace_matches_the_per_entry_fill(p):
+    field = make_field(p)
     rng = np.random.default_rng(p)
     for _ in range(60):
         m, k = rng.integers(0, 10), rng.integers(0, 10)
         a = rng.integers(0, p, (m, k))
         a[rng.random(m) < 0.4] = 0          # zero rows are dropped first
-        got = peeled_kernel(a, p)
-        assert np.array_equal(got, reference_nullspace(a, p))
-        assert np.array_equal(got, dense_nullspace(a, p))
+        got = peeled_kernel(a, field)
+        assert np.array_equal(got, reference_nullspace(a, field))
+        assert np.array_equal(got, dense_nullspace(a, field))
         assert not (a @ got % p).any()
 
 
@@ -304,23 +415,24 @@ def eliminated():
     """Copies of the arrays that reach fixedpoint._eliminate meanwhile."""
     seen, eliminate = [], fixedpoint._eliminate
 
-    def recording(a, p):
+    def recording(a, field):
         seen.append(a.copy())
-        return eliminate(a, p)
+        return eliminate(a, field)
 
     with mock.patch.object(fixedpoint, "_eliminate", recording):
         yield seen
 
 
-@pytest.mark.parametrize("p", (2, 3, 5, 113))
+@pytest.mark.parametrize("p", (3, 5, 113))
 @seed(20261019)
 @SETTINGS
 @given(data=st.data())
 def test_kernel_peels_planted_singleton_chains(p, data):
+    field = make_field(p)
     a = data.draw(chained_matrices(p), label="a")
     with eliminated() as seen:
-        got = peeled_kernel(a, p)
-    assert np.array_equal(got, dense_nullspace(a, p))
+        got = peeled_kernel(a, field)
+    assert np.array_equal(got, dense_nullspace(a, field))
     assert not (a @ got % p).any()
     # peeling ran to the end: no row left holds a single entry
     assert all((b != 0).sum(axis=1).min(initial=2) >= 2 for b in seen)
@@ -345,46 +457,68 @@ def sparse_fq_entries(draw, field):
 @SETTINGS
 @given(data=st.data())
 def test_kernel_of_digit_entries_matches_dense_nullspace(field, data):
+    # the peeled F_q kernel against the dense kernel of the entries'
+    # digit matrix over F_p, read back
     rows, cols, raws, (m, width) = data.draw(sparse_fq_entries(field),
                                              label="entries")
-    e = field.e
-    digit_rows, digit_cols, vals = fixedpoint._digits(field, rows, cols,
-                                                      raws)
-    a = np.zeros((m * e, width * e), dtype=np.int64)
-    a[digit_rows, digit_cols] = vals
-    got = fixedpoint._kernel(digit_rows, digit_cols, vals, width * e,
-                             field.p)
-    assert np.array_equal(got, dense_nullspace(a, field.p))
-    assert got.shape[1] % e == 0            # an F_q-subspace
+    a = np.zeros((m, width), dtype=np.int64)
+    a[rows, cols] = raws
+    got = kernel_basis(rows, cols, raws, width, field)
+    assert np.array_equal(got, digit_nullspace(a, field))
+    assert np.array_equal(got, dense_nullspace(a, field))
+
+
+def _block_remainder(group, k, r):
+    """What the solver stacks for one block of the group: the orbit kernel
+    K0 (the identity if no generator is monomial) and the F_q entries
+    (rows, cols, raws) of every general generator's (A_g - 1) K0, its rows
+    offset per generator, as fixedpoint._moved gives them."""
+    field, n = group.field, group.n
+    monomial, general = fixedpoint._split_generators(group.generators)
+    exps = fixedpoint._exponent_rows(n, k)
+    size = fixedpoint._block_size(n, k, r)
+    k0 = (np.arange(size), np.ones(size, np.int64), size)
+    if monomial:
+        k0 = fixedpoint._orbit_kernel(field, [
+            fixedpoint._monomial_permutation(field, g, exps, r)
+            for g in monomial])
+    moved = [fixedpoint._moved(field, g, exps, r, k0) for g in general]
+    return k0, [np.concatenate([entries[j] + (i * size if j == 0 else 0)
+                                for i, entries in enumerate(moved)])
+                for j in range(3)]
 
 
 def test_peeling_shrinks_what_e7_4_eliminates():
     # e7_4's largest degree-36 block: the one remainder that reaches
-    # _eliminate is a part of the stacked digit matrix of its general
-    # generators
+    # _eliminate is a part of the stacked matrix of its general generators
     group = case_group("e7_4")
-    field, n, k, r = group.field, group.n, 18, 0
-    monomial, general = fixedpoint._split_generators(group.generators)
-    exps = fixedpoint._exponent_rows(n, k)
-    k0 = fixedpoint._orbit_kernel(field, [
-        fixedpoint._monomial_permutation(field, g, exps, r) for g in monomial])
-    live_rows = sum(len(np.unique(fixedpoint._digits(
-        field, *fixedpoint._moved(field, g, exps, r, k0))[0]))
-        for g in general)
-    full = (live_rows, k0[2] * field.e)
+    k, r = 18, 0
+    k0, (rows, _, _) = _block_remainder(group, k, r)
+    full = (len(np.unique(rows)), k0[2])
     with eliminated() as seen:
-        fixedpoint._block_kernel(field, n, group.generators, k, r)
+        fixedpoint._block_kernel(group.field, group.n, group.generators, k, r)
     (shape,) = [a.shape for a in seen]
     assert shape[0] < full[0] and shape[1] < full[1], (shape, full)
 
 
-def digit_matrix(field, a):
-    """The F_p matrix of the raw F_q array a on base-p digits: entry
-    (j, c) becomes the e x e block whose (k, i) entry is digit k of
-    t^i * a[j, c], so a product of F_q arrays is the product of theirs."""
-    e = field.e
-    return field.digit_table[a].transpose(0, 3, 1, 2).reshape(
-        a.shape[0] * e, a.shape[1] * e)
+def test_extension_fields_eliminate_raw_f_q_arrays():
+    # sl(3,9)'s degree-20 block of length-2 words: what reaches _eliminate
+    # is the peeled part of the F_9 matrix, raws outside F_3 included, with
+    # no more rows or columns than the F_9 entries span; base-p digits
+    # would double both
+    group = gens_standard("sl", 3, F9)
+    k, r = 9, 2
+    k0, (rows, cols, raws) = _block_remainder(group, k, r)
+    with eliminated() as seen:
+        _, (kept, pivots, reduced) = fixedpoint._block_kernel(
+            F9, group.n, group.generators, k, r)
+    (a,) = seen
+    assert a.shape[1] == len(kept) <= k0[2]
+    assert 0 < a.shape[0] <= len(np.unique(rows))
+    assert a.max() < F9.q and (a >= F9.p).any()
+    assert np.array_equal(kernel_basis(rows, cols, raws, k0[2], F9),
+                          fixedpoint._kernel_basis(F9, k0[2], kept, pivots,
+                                                   reduced))
 
 
 @pytest.mark.parametrize("gens, d_max", [
@@ -396,22 +530,23 @@ def digit_matrix(field, a):
 def test_block_kernel_is_the_dense_nullspace_of_the_stacked_operators(
         gens, d_max):
     # M is the reduced kernel of every general generator's (A_g - 1) K0
-    # at once, as digit matrices stacked in a dense array
+    # at once; the oracle stacks them as raw F_q arrays, multiplied and
+    # solved by the digit route
     field, n = gens[0].field, gens[0].n
     _, general = fixedpoint._split_generators(gens)
     assert general
     for exps, words, basis, index in _blocks(n, d_max):
         k, r = sum(exps[0]), len(words[0])
-        (column, value, width), m = fixedpoint._block_kernel(
+        (column, value, width), echelon = fixedpoint._block_kernel(
             field, n, gens, k, r)
+        m = fixedpoint._kernel_basis(field, width, *echelon)
         if width == 0:
-            assert m is None
+            assert m.shape == (0, 0)
             continue
         size = len(column)
         k0 = np.zeros((size, width), dtype=np.int64)
         kept = np.flatnonzero(column >= 0)
         k0[kept, column[kept]] = value[kept]
-        k0 = digit_matrix(field, k0)
         stacked = []
         for g in general:
             a = np.zeros((size, size), dtype=np.int64)
@@ -420,8 +555,9 @@ def test_block_kernel_is_the_dense_nullspace_of_the_stacked_operators(
                 a[list(entries), col] = list(entries.values())
             moved = digit_matrix(field, a) - np.eye(size * field.e,
                                                     dtype=np.int64)
-            stacked.append(moved @ k0 % field.p)
-        want = dense_nullspace(np.vstack(stacked), field.p)
+            stacked.append(raw_columns(
+                field, moved @ digit_matrix(field, k0) % field.p))
+        want = digit_nullspace(np.vstack(stacked), field)
         assert np.array_equal(m, want), (k, r)
 
 
@@ -606,8 +742,8 @@ def test_block_columns_match_tensor_act(gens, shapes):
 def test_cached_actions_are_read_only_and_bounded():
     cached = []
     for field in ALL_FIELDS:
-        cached += [field.digit_table, field.product_array, field.exp_array,
-                   field.log_array]
+        cached += [field.digit_table, field.product_array, field.sum_array,
+                   field.exp_array, field.log_array]
         with pytest.raises(TypeError):
             field.mul_table[0] = 1
     for a in cached:
@@ -931,8 +1067,12 @@ def test_parse_case_labels():
     assert parse_case(" gl( 3 , 5 ) ").kind == "gl"
     assert parse_case("f4_3") == Case("f4_3", "f4_3", F3, 3)
     assert parse_case("e8_p5_3").field is F5
-    with pytest.raises(UnknownCase):
-        parse_case("sl(2,9)")  # q must be prime in a label
+    # a label's q must be a prime within the field cap; the error keeps
+    # the field's own reason
+    with pytest.raises(UnknownCase, match="9 is not prime"):
+        parse_case("sl(2,9)")
+    with pytest.raises(UnknownCase, match="exceeds the cap 125"):
+        parse_case("sl(2,127)")
     with pytest.raises(UnknownCase):
         parse_case("so(2,3)")
     for label in ("sl(0,3)", "g0(1,3)", "parabolic(1,5)", "f4_3(3,3)", "sl"):
